@@ -17,7 +17,10 @@
 //! `results/`); `check-bench --baseline DIR --fresh DIR` compares
 //! committed `BENCH_*.json` baselines against a fresh run and fails on
 //! any >10% throughput regression (and on any `gate0_*` metric that is
-//! nonzero in the fresh run); `replay <log.edcrr>...` re-executes
+//! nonzero in the fresh run); `bench-codecs --prior FILE` records the
+//! decode rows of an earlier `BENCH_codecs.json` (same host, the commit
+//! compared against) beside the fresh ones as `prior_decompress_*` /
+//! `speedup_decompress_*` metrics; `replay <log.edcrr>...` re-executes
 //! recorded op logs and exits non-zero on any divergence;
 //! `record-golden <path>` regenerates the committed golden fixture.
 
@@ -881,7 +884,7 @@ fn bench_concurrency(smoke: bool, out_dir: &Path) {
 /// decompress, with the frozen pre-refactor encoders
 /// ([`edc_compress::baseline`]) timed by the same harness in the same run
 /// as the hot-path speedup baseline. Writes `BENCH_codecs.json`.
-fn bench_codecs(smoke: bool, out_dir: &Path) {
+fn bench_codecs(smoke: bool, out_dir: &Path, prior: Option<&Path>) {
     use edc_compress::{baseline, CodecId, CodecRegistry, CompressorState};
     use edc_datagen::{BlockClass, ContentGenerator};
 
@@ -925,6 +928,31 @@ fn bench_codecs(smoke: bool, out_dir: &Path) {
             h.run_bytes(&format!("decompress/{label}/{cname}"), total, || {
                 for (s, b) in streams.iter().zip(&blocks) {
                     codec.decompress_into(s, b.len(), &mut dec).expect("round trip");
+                    std::hint::black_box(dec.len());
+                }
+            });
+        }
+    }
+
+    // The read path's unit: a cold read decodes one whole merged run, so
+    // the ladder codecs are also timed on 64 KiB runs, where the per-call
+    // setup the block-sized cases pay (Deflate's header and tables) is
+    // amortized and the copy loops dominate.
+    let run_len: usize = 64 * 1024;
+    let n_runs = (n_blocks / 8).max(2);
+    for class in [BlockClass::Text, BlockClass::Code, BlockClass::Binary] {
+        let mut gen = ContentGenerator::pure(0xEDC, class);
+        let runs: Vec<Vec<u8>> = (0..n_runs).map(|_| gen.block_of(class, run_len)).collect();
+        let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
+        let cname = format!("{class:?}").to_lowercase();
+        for id in [CodecId::Lzf, CodecId::Lz4, CodecId::Deflate] {
+            let codec = CodecRegistry::get(id).expect("ladder codec");
+            let streams: Vec<Vec<u8>> = runs.iter().map(|r| codec.compress(r)).collect();
+            let mut dec = Vec::new();
+            let label = id.name().to_lowercase();
+            h.run_bytes(&format!("decompress_run64k/{label}/{cname}"), total, || {
+                for (s, r) in streams.iter().zip(&runs) {
+                    codec.decompress_into(s, r.len(), &mut dec).expect("round trip");
                     std::hint::black_box(dec.len());
                 }
             });
@@ -1003,6 +1031,24 @@ fn bench_codecs(smoke: bool, out_dir: &Path) {
         let gib_s = r.throughput_mib_s().unwrap_or(0.0) / 1024.0;
         h.metric(&format!("content_hash64_gib_s_{label}"), gib_s);
         eprintln!("# content_hash64/{label}: {gib_s:.2} GiB/s");
+    }
+
+    // Decode before/after: `--prior FILE` names the BENCH_codecs.json the
+    // same command wrote on the same host at the commit being compared
+    // against; its decode rows are recorded beside this run's.
+    if let Some(prior) = prior {
+        let text = std::fs::read_to_string(prior).expect("reading --prior BENCH_codecs.json");
+        for (case, before) in parse_case_throughputs(&text) {
+            if !case.starts_with("decompress") {
+                continue;
+            }
+            let fresh = h.results().iter().find(|r| r.name == case);
+            let Some(now) = fresh.and_then(|r| r.throughput_mib_s()) else { continue };
+            let key = case.replace('/', "_");
+            h.metric(&format!("prior_{key}_mib_s"), before);
+            h.metric(&format!("speedup_{key}"), if before > 0.0 { now / before } else { 0.0 });
+            eprintln!("# {case}: {before:.1} -> {now:.1} MiB/s ({:.2}x vs prior)", now / before);
+        }
     }
 
     print!("{}", h.render());
@@ -3240,7 +3286,8 @@ fn main() {
     }
     if cmd == "bench-codecs" {
         let smoke = quick || args.iter().any(|a| a == "--smoke");
-        bench_codecs(smoke, &out_dir);
+        let prior = args.iter().position(|a| a == "--prior").and_then(|i| args.get(i + 1));
+        bench_codecs(smoke, &out_dir, prior.map(Path::new));
         return;
     }
     if cmd == "fault-campaign" {

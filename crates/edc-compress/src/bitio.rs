@@ -71,71 +71,117 @@ impl BitWriter {
 }
 
 /// Reads bits LSB-first from a byte slice.
+///
+/// The accumulator is topped up eight input bytes at a time. Past the end
+/// of the input a refill supplies zero bits and counts them in `pad`, so
+/// the hot decode loops can consume without a `Result` per bit-field and
+/// ask once per token — via `overdrawn` — whether any of the
+/// bits they used were padding. The check is latched: once a padding bit
+/// has been consumed it stays consumed.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     input: &'a [u8],
     /// Next byte to load.
     pos: usize,
+    /// Bit buffer; the low `nbits` bits are the next bits of the stream.
+    /// Bits above `nbits` may hold a preview of the next input byte (the
+    /// bulk refill ORs in a whole word); the next refill ORs the same
+    /// values over them, so they are never wrong, only uncounted.
     acc: u64,
     nbits: u32,
+    /// How many of the bits counted in `nbits` since the input ran out
+    /// are zero padding rather than stream bits.
+    pad: u32,
 }
 
 impl<'a> BitReader<'a> {
+    /// Largest `count` the bit-field methods accept: what one refill
+    /// guarantees to have buffered.
+    pub const MAX_BITS: u32 = 56;
+
     /// Create a reader over `input`.
     pub fn new(input: &'a [u8]) -> Self {
-        Self { input, pos: 0, acc: 0, nbits: 0 }
+        Self { input, pos: 0, acc: 0, nbits: 0, pad: 0 }
     }
 
-    /// Ensure at least `count` bits are buffered, if available.
+    /// Top the buffer up to at least [`BitReader::MAX_BITS`] bits, zero
+    /// padding past the end of the input.
     #[inline]
-    fn refill(&mut self, count: u32) {
-        while self.nbits < count && self.pos < self.input.len() {
-            self.acc |= (self.input[self.pos] as u64) << self.nbits;
-            self.pos += 1;
+    pub(crate) fn refill(&mut self) {
+        if let Some(word) = self.input.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+            self.acc |= word << self.nbits;
+            let bytes = (63 - self.nbits) >> 3;
+            self.pos += bytes as usize;
+            self.nbits += bytes * 8;
+        } else {
+            self.refill_tail();
+        }
+    }
+
+    /// The last seven bytes of the input, then padding.
+    #[cold]
+    fn refill_tail(&mut self) {
+        while self.nbits < Self::MAX_BITS {
+            if let Some(&b) = self.input.get(self.pos) {
+                self.acc |= u64::from(b) << self.nbits;
+                self.pos += 1;
+            } else {
+                self.pad += 8;
+            }
             self.nbits += 8;
         }
+    }
+
+    /// The buffered bits, next bit lowest. Valid up to
+    /// [`BitReader::MAX_BITS`] bits after a [`BitReader::refill`], less
+    /// whatever [`BitReader::skip`] dropped since.
+    #[inline]
+    pub(crate) fn bits(&self) -> u64 {
+        self.acc
+    }
+
+    /// Drop `count` buffered bits. The caller refilled recently enough
+    /// that `count` bits are buffered (real or padding).
+    #[inline]
+    pub(crate) fn skip(&mut self, count: u32) {
+        debug_assert!(count <= self.nbits, "skip past the refilled bits");
+        self.acc >>= count;
+        self.nbits -= count;
+    }
+
+    /// [`BitReader::bits`] masked to `count` bits, then skipped.
+    #[inline]
+    pub(crate) fn take(&mut self, count: u32) -> u64 {
+        let v = self.acc & ((1u64 << count) - 1);
+        self.skip(count);
+        v
+    }
+
+    /// Whether any bit consumed so far was padding past the end of input.
+    #[inline]
+    pub(crate) fn overdrawn(&self) -> bool {
+        self.pad > self.nbits
     }
 
     /// Read `count` bits (LSB-first). Errors with [`DecompressError::Truncated`]
     /// if the stream has fewer bits left.
     #[inline]
     pub fn read_bits(&mut self, count: u32) -> Result<u64, DecompressError> {
-        debug_assert!(count <= 57);
-        self.refill(count);
+        debug_assert!(count <= Self::MAX_BITS);
         if self.nbits < count {
+            self.refill();
+        }
+        let v = self.take(count);
+        if self.overdrawn() {
             return Err(DecompressError::Truncated);
         }
-        let v = self.acc & ((1u64 << count) - 1);
-        self.acc >>= count;
-        self.nbits -= count;
         Ok(v)
-    }
-
-    /// Peek up to `count` bits without consuming; missing bits read as zero.
-    ///
-    /// Used by table-driven Huffman decoding, where the final code of a
-    /// stream may be shorter than the peek window.
-    #[inline]
-    pub fn peek_bits(&mut self, count: u32) -> u64 {
-        debug_assert!(count <= 57);
-        self.refill(count);
-        self.acc & ((1u64 << count) - 1)
-    }
-
-    /// Consume `count` bits previously peeked. Errors if fewer are available.
-    #[inline]
-    pub fn consume(&mut self, count: u32) -> Result<(), DecompressError> {
-        if self.nbits < count {
-            return Err(DecompressError::Truncated);
-        }
-        self.acc >>= count;
-        self.nbits -= count;
-        Ok(())
     }
 
     /// Number of bits still available (buffered + unread bytes).
     pub fn bits_remaining(&self) -> usize {
-        self.nbits as usize + (self.input.len() - self.pos) * 8
+        self.nbits.saturating_sub(self.pad) as usize + (self.input.len() - self.pos) * 8
     }
 }
 
@@ -204,23 +250,41 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume_and_pads_with_zero() {
-        let mut r = BitReader::new(&[0b0000_0001]);
-        assert_eq!(r.peek_bits(16), 1); // missing high bits read as 0
-        assert_eq!(r.peek_bits(16), 1);
-        assert_eq!(r.read_bits(8).unwrap(), 1);
-        assert_eq!(r.bits_remaining(), 0);
+    fn bulk_refill_agrees_with_single_bits_at_every_length() {
+        // Inputs shorter than, equal to and longer than the 8-byte refill
+        // word, read in widths that straddle every refill boundary.
+        let bytes: Vec<u8> = (0..40u32).map(|i| (i * 73 + 19) as u8).collect();
+        for len in 0..bytes.len() {
+            let input = &bytes[..len];
+            for width in [1u32, 3, 7, 8, 13, 31, 56] {
+                let mut wide = BitReader::new(input);
+                let mut narrow = BitReader::new(input);
+                for _ in 0..(len * 8) as u32 / width {
+                    let mut expect = 0u64;
+                    for bit in 0..width {
+                        expect |= narrow.read_bits(1).unwrap() << bit;
+                    }
+                    assert_eq!(wide.read_bits(width).unwrap(), expect, "len {len} width {width}");
+                }
+                let left = len * 8 % width as usize;
+                assert_eq!(wide.bits_remaining(), left);
+                assert_eq!(wide.read_bits(left as u32 + 1), Err(DecompressError::Truncated));
+            }
+        }
     }
 
     #[test]
-    fn consume_after_peek() {
-        let mut r = BitReader::new(&[0b1011_0110, 0xFF]);
-        let p = r.peek_bits(4);
-        assert_eq!(p, 0b0110);
-        r.consume(4).unwrap();
-        assert_eq!(r.read_bits(4).unwrap(), 0b1011);
-        assert_eq!(r.read_bits(8).unwrap(), 0xFF);
-        assert!(r.consume(1).is_err());
+    fn overdraw_is_latched_not_raised() {
+        let mut r = BitReader::new(&[0xA5, 0x01]);
+        r.refill();
+        assert_eq!(r.take(9), 0x1A5);
+        assert!(!r.overdrawn());
+        assert_eq!(r.take(7), 0);
+        assert!(!r.overdrawn(), "the stream held exactly sixteen bits");
+        assert_eq!(r.take(1), 0, "padding reads as zero");
+        assert!(r.overdrawn());
+        r.refill();
+        assert!(r.overdrawn(), "a refill does not forgive an overdraw");
     }
 
     #[test]

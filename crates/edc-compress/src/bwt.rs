@@ -22,6 +22,7 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{build_code_lengths, read_lengths, write_lengths, Decoder, Encoder};
 use crate::mtf::{mtf_decode, mtf_encode};
 use crate::rle::{zrle_decode, zrle_encode, EOB_SYM, NUM_SYMBOLS};
+use crate::state::Output;
 use crate::suffix::sort_rotations;
 use crate::{Codec, CodecId, DecompressError};
 
@@ -178,15 +179,11 @@ impl Codec for Bwt {
             return Err(DecompressError::Truncated);
         }
         let mut r = BitReader::new(input);
-        let raw = r.read_bits(1)? == 1;
-        // Never pre-allocate an untrusted length (see `Lzf::decompress_into`).
-        out.reserve(expected_len.min(16 << 20));
-        if raw {
-            for _ in 0..expected_len {
-                out.push(r.read_bits(8)? as u8);
-            }
-            return Ok(());
+        if r.read_bits(1)? == 1 {
+            return Output::new(out, expected_len).fill_from_bits(&mut r);
         }
+        // Never pre-allocate an untrusted length (see `state::Output`).
+        out.reserve(expected_len.min(16 << 20));
         while out.len() < expected_len {
             let block_len = r.read_bits(32)? as usize;
             if block_len == 0 || block_len > MAX_BLOCK_SIZE {

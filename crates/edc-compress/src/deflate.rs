@@ -21,8 +21,10 @@
 //! match space is lengths 3..=258 over a 32 KiB window.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::huffman::{read_lengths, write_lengths, Decoder, Encoder, LengthBuilder};
-use crate::state::{common_prefix_len, with_thread_state, CompressorState, StampTable};
+use crate::huffman::{read_lengths_into, write_lengths, Decoder, Encoder, LengthBuilder};
+use crate::state::{
+    common_prefix_len, with_decode_scratch, with_thread_state, CompressorState, Output, StampTable,
+};
 use crate::{Codec, CodecId, DecompressError};
 
 const MIN_MATCH: usize = 3;
@@ -508,72 +510,156 @@ impl Codec for Deflate {
         expected_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), DecompressError> {
-        out.clear();
+        let mut out = Output::new(out, expected_len);
         if input.is_empty() {
             return Err(DecompressError::Truncated);
         }
         let mut r = BitReader::new(input);
-        let raw = r.read_bits(1)? == 1;
-        // Never pre-allocate an untrusted length (see `Lzf::decompress_into`).
-        out.reserve(expected_len.min(16 << 20));
-        if raw {
-            for _ in 0..expected_len {
-                out.push(r.read_bits(8)? as u8);
+        if r.read_bits(1)? == 1 {
+            return out.fill_from_bits(&mut r);
+        }
+        with_decode_scratch(|scratch| {
+            scratch.read_tables(&mut r)?;
+            inflate_tokens(r, &scratch.lit_dec, &scratch.dist_dec, &mut out)
+        })?;
+        out.finish()
+    }
+}
+
+/// Root widths of the two decode tables. Ten bits for literals/lengths, a
+/// 4 KiB root that stays in L1 beside the window being copied from: on
+/// 64 KiB runs 9 to 11 bits decode alike, but the tables are rebuilt per
+/// block, and on 4 KiB blocks 11 bits costs 4-7 % (the fill doubles per
+/// bit) while 9 sends 10 % more time through subtables on binary content.
+/// The 30-symbol distance alphabet rarely passes eight.
+const LIT_ROOT_BITS: u32 = 10;
+const DIST_ROOT_BITS: u32 = 8;
+
+// What Deflate keeps in the payload of a decode-table entry: the token's
+// class, how many extra bits follow the code, and the base those bits add
+// to - so one lookup replaces the symbol decode plus a `LEN_TABLE` or
+// `DIST_TABLE` load. An end-of-block entry has neither class bit set.
+const ENTRY_EXTRA_SHIFT: u32 = Decoder::PAYLOAD_SHIFT;
+const ENTRY_EXTRA_MASK: u32 = 0xF;
+const ENTRY_LITERAL: u32 = 1 << (Decoder::PAYLOAD_SHIFT + 4);
+const ENTRY_MATCH: u32 = 1 << (Decoder::PAYLOAD_SHIFT + 5);
+const ENTRY_BASE_SHIFT: u32 = Decoder::PAYLOAD_SHIFT + 8;
+
+/// The `Decoder::rebuild` payload for a token of `class`.
+const fn entry_payload(class: u32, base: u16, extra: u8) -> u32 {
+    let entry = (base as u32) << ENTRY_BASE_SHIFT | class | (extra as u32) << ENTRY_EXTRA_SHIFT;
+    entry >> Decoder::PAYLOAD_SHIFT
+}
+
+/// Decode-side working memory, one per thread
+/// ([`crate::state::with_decode_scratch`]): the two code-length arrays and
+/// both decode tables, rebuilt in place for every Huffman block so a warm
+/// decode allocates nothing. A failed decode may leave any of it half
+/// written; the next one overwrites all of it before reading any.
+pub(crate) struct InflateScratch {
+    lit_lens: [u8; NUM_LITLEN],
+    dist_lens: [u8; NUM_DIST],
+    lit_dec: Decoder,
+    dist_dec: Decoder,
+}
+
+impl InflateScratch {
+    pub(crate) fn new() -> Self {
+        InflateScratch {
+            lit_lens: [0; NUM_LITLEN],
+            dist_lens: [0; NUM_DIST],
+            lit_dec: Decoder::default(),
+            dist_dec: Decoder::default(),
+        }
+    }
+
+    /// Read a Huffman block's header and build both tables from it.
+    fn read_tables(&mut self, r: &mut BitReader<'_>) -> Result<(), DecompressError> {
+        read_lengths_into(r, &mut self.lit_lens)?;
+        read_lengths_into(r, &mut self.dist_lens)?;
+        self.lit_dec.rebuild(&self.lit_lens, LIT_ROOT_BITS, |sym| match sym {
+            0..=255 => entry_payload(ENTRY_LITERAL, sym as u16, 0),
+            EOB => entry_payload(0, 0, 0),
+            _ => {
+                let (base, extra) = LEN_TABLE[sym - 257];
+                entry_payload(ENTRY_MATCH, base, extra)
             }
-            return Ok(());
-        }
-        let lit_lens = read_lengths(&mut r, NUM_LITLEN)?;
-        let dist_lens = read_lengths(&mut r, NUM_DIST)?;
-        let lit_dec = Decoder::from_lengths(&lit_lens)?;
-        let dist_dec = Decoder::from_lengths(&dist_lens)?;
-        loop {
-            let sym = lit_dec.read(&mut r)?;
-            match sym {
-                0..=255 => {
-                    if out.len() >= expected_len {
-                        return Err(DecompressError::OutputOverflow { expected: expected_len });
-                    }
-                    out.push(sym as u8);
+        })?;
+        self.dist_dec.rebuild(&self.dist_lens, DIST_ROOT_BITS, |sym| {
+            let (base, extra) = DIST_TABLE[sym];
+            entry_payload(ENTRY_MATCH, base, extra)
+        })
+    }
+
+    /// Summed backing capacities, used to detect allocation events.
+    #[cfg(test)]
+    fn capacity_signature(&self) -> usize {
+        self.lit_dec.capacity() + self.dist_dec.capacity()
+    }
+}
+
+/// Decode a Huffman block's tokens up to its end-of-block symbol.
+///
+/// One refill covers a whole match token - at most 15 + 5 + 15 + 13 = 48
+/// of the 56 bits it guarantees - or three literals, so the fields are
+/// taken without a check each; one [`BitReader::overdrawn`] test per
+/// token, made before anything is written, reports a stream that ended
+/// inside it. The reader is taken by value so its fields live in
+/// registers across the loop.
+fn inflate_tokens(
+    mut r: BitReader<'_>,
+    lit_dec: &Decoder,
+    dist_dec: &Decoder,
+    out: &mut Output<'_>,
+) -> Result<(), DecompressError> {
+    // An entry's base plus the extra bits that follow its code.
+    let value = |r: &mut BitReader<'_>, e: u32| {
+        let extra = r.take(e >> ENTRY_EXTRA_SHIFT & ENTRY_EXTRA_MASK);
+        (e >> ENTRY_BASE_SHIFT) as usize + extra as usize
+    };
+    'token: loop {
+        r.refill();
+        let mut e = lit_dec.lookup(&mut r);
+        if e & ENTRY_LITERAL != 0 {
+            // Up to two more codes on the same refill (3 x 15 <= 56).
+            for spare in (0..3).rev() {
+                if r.overdrawn() {
+                    return Err(DecompressError::Truncated);
                 }
-                256 => break,
-                257..=285 => {
-                    let (base, extra) = LEN_TABLE[sym - 257];
-                    let len = usize::from(base) + r.read_bits(u32::from(extra))? as usize;
-                    let dsym = dist_dec.read(&mut r)?;
-                    if dsym >= NUM_DIST {
-                        return Err(DecompressError::BadSymbol {
-                            what: "deflate distance alphabet",
-                            symbol: dsym as u32,
-                        });
-                    }
-                    let (dbase, dextra) = DIST_TABLE[dsym];
-                    let dist = usize::from(dbase) + r.read_bits(u32::from(dextra))? as usize;
-                    if dist > out.len() {
-                        return Err(DecompressError::BadReference { at: out.len(), offset: dist });
-                    }
-                    // Cap BEFORE copying: a match may not overshoot the
-                    // declared output size even transiently.
-                    if out.len() + len > expected_len {
-                        return Err(DecompressError::OutputOverflow { expected: expected_len });
-                    }
-                    let src = out.len() - dist;
-                    for k in 0..len {
-                        let b = out[src + k];
-                        out.push(b);
-                    }
+                out.push((e >> ENTRY_BASE_SHIFT) as u8)?;
+                if spare == 0 {
+                    continue 'token;
                 }
-                _ => {
-                    return Err(DecompressError::BadSymbol {
-                        what: "deflate literal/length alphabet",
-                        symbol: sym as u32,
-                    })
+                e = lit_dec.lookup(&mut r);
+                if e & ENTRY_LITERAL == 0 {
+                    break;
                 }
             }
+            // The literals and this code used up to 45 bits.
+            r.refill();
         }
-        if out.len() != expected_len {
-            return Err(DecompressError::SizeMismatch { expected: expected_len, actual: out.len() });
+        if e & ENTRY_MATCH == 0 {
+            return match e {
+                0 => Err(lit_dec.no_code_error()),
+                _ if r.overdrawn() => Err(DecompressError::Truncated),
+                _ => Ok(()), // end of block
+            };
         }
-        Ok(())
+        let len = value(&mut r, e);
+        let d = dist_dec.lookup(&mut r);
+        if d == 0 {
+            // Nothing was skipped for it, so an overdraw here happened in
+            // the length fields, ahead of the bad code.
+            return Err(match r.overdrawn() {
+                true => DecompressError::Truncated,
+                false => dist_dec.no_code_error(),
+            });
+        }
+        let dist = value(&mut r, d);
+        if r.overdrawn() {
+            return Err(DecompressError::Truncated);
+        }
+        out.copy_match(dist, len)?;
     }
 }
 
@@ -723,6 +809,42 @@ mod tests {
         let c = Deflate::new().compress(&data);
         let err = Deflate::new().decompress(&c, 100).unwrap_err();
         assert!(matches!(err, DecompressError::OutputOverflow { expected: 100 }));
+    }
+
+    #[test]
+    fn warm_decode_allocates_nothing() {
+        // 1 000 streams of mixed codec, size and content into one reused
+        // `Vec`: after the first Deflate decode neither the thread's
+        // decode scratch nor the output buffer may grow again.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut out = Vec::with_capacity(16 * 1024);
+        let out_capacity = out.capacity();
+        let mut warm = None;
+        for i in 0..1000 {
+            let len = 64 + (next() % (16 * 1024 - 64)) as usize;
+            let data: Vec<u8> = match i % 4 {
+                0 => (0..len).map(|k| b"flash page erase block "[k % 23]).collect(),
+                1 => (0..len).map(|k| (k / 3 % 7) as u8 ^ (next() % 3 == 0) as u8).collect(),
+                2 => (0..len).map(|_| (next() >> 56) as u8).collect(), // deep codes
+                _ => (0..len).map(|k| (next() >> 59) as u8 * u8::from(k % 512 >= 400)).collect(),
+            };
+            let codec: &dyn Codec = if i % 3 == 0 { &Lzf::new() } else { &Deflate::with_level(1) };
+            let stream = codec.compress(&data);
+            codec.decompress_into(&stream, data.len(), &mut out).expect("round trip");
+            assert_eq!(out, data);
+            if codec.id() == CodecId::Deflate {
+                let signature = with_decode_scratch(|s| s.capacity_signature());
+                assert_eq!(*warm.get_or_insert(signature), signature, "scratch grew at stream {i}");
+            }
+        }
+        assert!(warm.is_some_and(|signature| signature > 0));
+        assert_eq!(out.capacity(), out_capacity);
     }
 
     #[test]

@@ -14,14 +14,10 @@ use crate::DecompressError;
 /// Maximum Huffman code length (DEFLATE's limit; keeps decode tables small).
 pub const MAX_CODE_LEN: u32 = 15;
 
-/// Reverse the low `len` bits of `code`.
+/// Reverse the low `len` bits of `code` (`1 <= len <= 32`).
 #[inline]
 fn reverse_bits(code: u32, len: u32) -> u32 {
-    let mut v = 0u32;
-    for i in 0..len {
-        v |= ((code >> i) & 1) << (len - 1 - i);
-    }
-    v
+    code.reverse_bits() >> (32 - len)
 }
 
 /// Compute Huffman code lengths for `freqs`, limited to `MAX_CODE_LEN`.
@@ -205,17 +201,10 @@ impl Encoder {
     }
 }
 
-/// Assign canonical codes (shorter codes first, then by symbol index) and
-/// return them bit-reversed, ready for LSB-first emission.
-fn canonical_codes(lengths: &[u8]) -> Vec<u32> {
-    let mut codes = Vec::new();
-    canonical_codes_into(lengths, &mut codes);
-    codes
-}
-
-/// [`canonical_codes`] into a reused buffer; the count arrays are fixed
-/// stack arrays (lengths are capped at [`MAX_CODE_LEN`]), so a warm call
-/// is allocation-free.
+/// Assign canonical codes (shorter codes first, then by symbol index)
+/// into a reused buffer, bit-reversed and so ready for LSB-first emission.
+/// The count arrays are fixed stack arrays (lengths are capped at
+/// [`MAX_CODE_LEN`]), so a warm call is allocation-free.
 fn canonical_codes_into(lengths: &[u8], codes: &mut Vec<u32>) {
     let max_len = lengths.iter().copied().max().unwrap_or(0) as u32;
     assert!(max_len <= MAX_CODE_LEN, "code length exceeds limit");
@@ -243,26 +232,82 @@ fn canonical_codes_into(lengths: &[u8], codes: &mut Vec<u32>) {
     }));
 }
 
-/// Table-driven decoder: one lookup of `max_len` peeked bits per symbol.
-#[derive(Debug, Clone)]
+/// Table-driven decoder with a two-level table: the low `root_bits` bits
+/// of the stream index a root table that resolves every code of at most
+/// that length in one lookup; longer codes go through a per-prefix
+/// subtable indexed by their remaining bits. The root stays L1-resident
+/// however skewed the code is, where a flat `1 << max_len` table does not.
+///
+/// Each entry is a `u32`:
+///
+/// ```text
+/// bits 0..5   length of the code in bits (what the reader must skip)
+/// bit  5      root entry naming a subtable: bits 0..5 are then the
+///             subtable's index width and bits 8.. its start
+/// bits 8..32  the symbol's payload, chosen by whoever built the table
+/// ```
+///
+/// and an all-zero entry means no code maps here. A decoder is rebuilt in
+/// place (`rebuild`), so one kept across streams allocates on
+/// its first use only.
+#[derive(Debug, Clone, Default)]
 pub struct Decoder {
-    /// `(symbol, code_len)` per `max_len`-bit window value.
-    table: Vec<(u16, u8)>,
-    max_len: u32,
+    table: Vec<u32>,
+    root_bits: u32,
+    /// No symbol has a code: every lookup fails, with its own message.
+    empty: bool,
+    /// Canonical codes of the lengths being built (scratch).
+    codes: Vec<u32>,
 }
 
-/// Sentinel for unmapped windows (invalid codes).
-const INVALID: (u16, u8) = (u16::MAX, 0);
+/// Mask of an entry's code-length field.
+const ENTRY_LEN: u32 = 0x1F;
+/// Marks a root entry that names a subtable.
+const ENTRY_SUBTABLE: u32 = 0x20;
 
 impl Decoder {
-    /// Build the decoder from canonical code lengths.
+    /// Shift of an entry's payload (or subtable start).
+    pub(crate) const PAYLOAD_SHIFT: u32 = 8;
+
+    /// Root width for plain symbol decoding. Ten bits is a 4 KiB root:
+    /// it resolves all but the rarest codes of a byte-sized alphabet in
+    /// one lookup and leaves most of L1 to the data being decoded.
+    const ROOT_BITS: u32 = 10;
+
+    /// Build the decoder from canonical code lengths; each symbol's
+    /// payload is its index, as [`Decoder::read`] expects.
     ///
     /// Errors if the lengths describe an over-subscribed code (would decode
     /// ambiguously), which indicates a corrupt header.
     pub fn from_lengths(lengths: &[u8]) -> Result<Self, DecompressError> {
+        let mut d = Decoder::default();
+        d.rebuild(lengths, Self::ROOT_BITS, |sym| sym as u32)?;
+        Ok(d)
+    }
+
+    /// Rebuild in place for new code lengths, reusing the table storage.
+    /// `payload(symbol)` supplies the upper 24 bits of each entry.
+    ///
+    /// Errors as [`Decoder::from_lengths`], leaving a decoder whose every
+    /// lookup fails.
+    pub(crate) fn rebuild(
+        &mut self,
+        lengths: &[u8],
+        root_bits: u32,
+        payload: impl Fn(usize) -> u32,
+    ) -> Result<(), DecompressError> {
+        debug_assert!((1..=MAX_CODE_LEN).contains(&root_bits));
         let max_len = u32::from(lengths.iter().copied().max().unwrap_or(0));
+        self.root_bits = root_bits;
+        self.empty = max_len == 0;
+        self.table.clear();
+        // Room for the worst code up front - every long code alone in a
+        // full-width subtable - so that a warm decoder never allocates,
+        // whatever code the next stream brings.
+        self.table.reserve((1 << root_bits) + (lengths.len() << (MAX_CODE_LEN - root_bits)));
+        self.table.resize(1 << root_bits, 0);
         if max_len == 0 {
-            return Ok(Decoder { table: Vec::new(), max_len: 0 });
+            return Ok(());
         }
         if max_len > MAX_CODE_LEN {
             return Err(DecompressError::Malformed("code length exceeds limit"));
@@ -276,38 +321,105 @@ impl Decoder {
         if kraft > 1u64 << MAX_CODE_LEN {
             return Err(DecompressError::Malformed("over-subscribed Huffman code"));
         }
-        let codes = canonical_codes(lengths);
-        let mut table = vec![INVALID; 1usize << max_len];
+        canonical_codes_into(lengths, &mut self.codes);
+        let Decoder { table, codes, .. } = self;
+        let root_size = 1usize << root_bits;
+        let root_mask = root_size - 1;
+
+        if max_len > root_bits {
+            // Size each subtable by the longest code under its root
+            // prefix (a prefix-free code never puts a short code and a
+            // subtable in one root slot), then place them after the root.
+            for (&len, &code) in lengths.iter().zip(codes.iter()) {
+                let len = u32::from(len);
+                if len > root_bits {
+                    let slot = &mut table[code as usize & root_mask];
+                    *slot = (*slot).max(len - root_bits);
+                }
+            }
+            for i in 0..root_size {
+                let index_bits = table[i];
+                if index_bits != 0 {
+                    let start = table.len();
+                    table[i] = (start as u32) << Self::PAYLOAD_SHIFT | ENTRY_SUBTABLE | index_bits;
+                    table.resize(start + (1 << index_bits), 0);
+                }
+            }
+        }
+
         for (sym, (&len, &code)) in lengths.iter().zip(codes.iter()).enumerate() {
             if len == 0 {
                 continue;
             }
-            let len32 = u32::from(len);
-            // The reversed code occupies the low `len` bits of the window;
-            // every setting of the remaining high bits maps to this symbol.
-            let stride = 1usize << len32;
-            let mut w = code as usize;
-            while w < table.len() {
-                table[w] = (sym as u16, len);
-                w += stride;
+            let len = u32::from(len);
+            let entry = payload(sym) << Self::PAYLOAD_SHIFT | len;
+            // The reversed code occupies the low bits of the index into
+            // its (sub)table; every setting of the remaining high index
+            // bits maps to this symbol.
+            let (start, index_bits, index, used) = if len <= root_bits {
+                (0, root_bits, code as usize, len)
+            } else {
+                let sub = table[code as usize & root_mask];
+                (
+                    (sub >> Self::PAYLOAD_SHIFT) as usize,
+                    sub & ENTRY_LEN,
+                    (code >> root_bits) as usize,
+                    len - root_bits,
+                )
+            };
+            let slots = &mut table[start..start + (1 << index_bits)];
+            for slot in slots[index..].iter_mut().step_by(1 << used) {
+                *slot = entry;
             }
         }
-        Ok(Decoder { table, max_len })
+        Ok(())
     }
 
-    /// Decode one symbol from `r`.
+    /// Resolve the next code in `r`, skip it and return its entry; zero
+    /// (nothing skipped) when no code matches. The caller has refilled
+    /// `r` since it last skipped more than `56 - MAX_CODE_LEN` bits, and
+    /// checks [`BitReader::overdrawn`] before trusting the entry.
+    #[inline]
+    pub(crate) fn lookup(&self, r: &mut BitReader<'_>) -> u32 {
+        let bits = r.bits();
+        let mut e = self.table[bits as usize & ((1 << self.root_bits) - 1)];
+        if e & ENTRY_SUBTABLE != 0 {
+            let index = (bits >> self.root_bits) as usize & ((1 << (e & ENTRY_LEN)) - 1);
+            e = self.table[(e >> Self::PAYLOAD_SHIFT) as usize + index];
+        }
+        r.skip(e & ENTRY_LEN);
+        e
+    }
+
+    /// The error for a [`Decoder::lookup`] that returned zero.
+    #[cold]
+    pub(crate) fn no_code_error(&self) -> DecompressError {
+        if self.empty {
+            DecompressError::Malformed("decoding with empty code")
+        } else {
+            DecompressError::Malformed("invalid Huffman code")
+        }
+    }
+
+    /// Decode one symbol from `r` (for decoders built by
+    /// [`Decoder::from_lengths`]).
     #[inline]
     pub fn read(&self, r: &mut BitReader<'_>) -> Result<usize, DecompressError> {
-        if self.max_len == 0 {
-            return Err(DecompressError::Malformed("decoding with empty code"));
+        r.refill();
+        let e = self.lookup(r);
+        if e == 0 {
+            return Err(self.no_code_error());
         }
-        let window = r.peek_bits(self.max_len) as usize;
-        let (sym, len) = self.table[window];
-        if len == 0 {
-            return Err(DecompressError::Malformed("invalid Huffman code"));
+        if r.overdrawn() {
+            return Err(DecompressError::Truncated);
         }
-        r.consume(u32::from(len))?;
-        Ok(sym as usize)
+        Ok((e >> Self::PAYLOAD_SHIFT) as usize)
+    }
+
+    /// Summed backing capacities (for allocation-event accounting).
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.table.capacity() + self.codes.capacity()
     }
 }
 
@@ -365,36 +477,40 @@ pub fn write_lengths(w: &mut BitWriter, lengths: &[u8]) {
 }
 
 /// Deserialize `count` code lengths from `r`.
+///
+/// Convenience wrapper over [`read_lengths_into`] for callers without a
+/// buffer to reuse.
 pub fn read_lengths(r: &mut BitReader<'_>, count: usize) -> Result<Vec<u8>, DecompressError> {
-    let mut lengths = Vec::with_capacity(count);
-    while lengths.len() < count {
+    let mut lengths = vec![0u8; count];
+    read_lengths_into(r, &mut lengths)?;
+    Ok(lengths)
+}
+
+/// Deserialize `lengths.len()` code lengths from `r` into `lengths`.
+pub fn read_lengths_into(r: &mut BitReader<'_>, lengths: &mut [u8]) -> Result<(), DecompressError> {
+    let mut filled = 0usize;
+    while filled < lengths.len() {
         let tok = r.read_bits(5)?;
-        match tok {
-            0..=15 => lengths.push(tok as u8),
+        let (value, rep) = match tok {
+            0..=15 => (tok as u8, 1),
             TOK_COPY_PREV => {
                 let rep = 3 + r.read_bits(2)? as usize;
-                let prev = *lengths
+                let prev = *lengths[..filled]
                     .last()
                     .ok_or(DecompressError::Malformed("copy-prev with no previous length"))?;
-                for _ in 0..rep {
-                    lengths.push(prev);
-                }
+                (prev, rep)
             }
-            TOK_ZERO_SHORT => {
-                let rep = 3 + r.read_bits(3)? as usize;
-                lengths.extend(std::iter::repeat_n(0u8, rep));
-            }
-            TOK_ZERO_LONG => {
-                let rep = 11 + r.read_bits(7)? as usize;
-                lengths.extend(std::iter::repeat_n(0u8, rep));
-            }
+            TOK_ZERO_SHORT => (0, 3 + r.read_bits(3)? as usize),
+            TOK_ZERO_LONG => (0, 11 + r.read_bits(7)? as usize),
             _ => return Err(DecompressError::Malformed("invalid length token")),
-        }
+        };
+        lengths
+            .get_mut(filled..filled + rep)
+            .ok_or(DecompressError::Malformed("length run overflows table"))?
+            .fill(value);
+        filled += rep;
     }
-    if lengths.len() != count {
-        return Err(DecompressError::Malformed("length run overflows table"));
-    }
-    Ok(lengths)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -442,6 +558,51 @@ mod tests {
         assert!(lengths.iter().all(|&l| u32::from(l) <= MAX_CODE_LEN));
         // Still decodable.
         assert!(Decoder::from_lengths(&lengths).is_ok());
+    }
+
+    #[test]
+    fn long_codes_resolve_through_subtables() {
+        // The same skew, decoded: codes past the root width go through a
+        // subtable, and at a root narrower than most of the code as well.
+        let mut freqs = vec![0u64; 40];
+        let (mut a, mut b) = (1u64, 1u64);
+        for f in freqs.iter_mut() {
+            *f = a;
+            (a, b) = (b, a + b);
+        }
+        let lengths = build_code_lengths(&freqs);
+        assert!(lengths.iter().any(|&l| u32::from(l) > Decoder::ROOT_BITS));
+        let stream: Vec<usize> = (0..40).chain((0..40).rev()).collect();
+        roundtrip_symbols(&freqs, &stream);
+
+        let enc = Encoder::from_lengths(&lengths);
+        let mut w = BitWriter::new();
+        for &s in &stream {
+            enc.write(&mut w, s);
+        }
+        let bytes = w.finish();
+        let mut dec = Decoder::default();
+        dec.rebuild(&lengths, 3, |sym| sym as u32).unwrap();
+        let mut r = BitReader::new(&bytes);
+        for &s in &stream {
+            assert_eq!(dec.read(&mut r).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn incomplete_code_rejects_unmapped_bits() {
+        // One symbol of length 2 leaves three quarters of the code space
+        // unmapped, in the root and (length 12) in a subtable.
+        for len in [2u8, 12] {
+            let mut lengths = vec![0u8; 8];
+            lengths[5] = len;
+            let dec = Decoder::from_lengths(&lengths).unwrap();
+            assert_eq!(dec.read(&mut BitReader::new(&[0, 0])).unwrap(), 5);
+            assert_eq!(
+                dec.read(&mut BitReader::new(&[0xFF, 0xFF])),
+                Err(DecompressError::Malformed("invalid Huffman code"))
+            );
+        }
     }
 
     #[test]
@@ -518,7 +679,8 @@ mod tests {
     fn canonical_codes_are_prefix_free() {
         let freqs: Vec<u64> = (0..32).map(|i| 1 + (i % 5) as u64 * 10).collect();
         let lengths = build_code_lengths(&freqs);
-        let codes = canonical_codes(&lengths);
+        let mut codes = Vec::new();
+        canonical_codes_into(&lengths, &mut codes);
         // Check pairwise prefix-freedom over the *reversed* (stored) codes,
         // interpreting them in LSB-first read order.
         for a in 0..lengths.len() {

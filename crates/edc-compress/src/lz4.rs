@@ -8,7 +8,7 @@
 //! `255`-valued extension bytes. Minimum match length is 4; the final
 //! sequence carries literals only.
 
-use crate::state::{common_prefix_len, with_thread_state, CompressorState};
+use crate::state::{common_prefix_len, with_thread_state, CompressorState, Output};
 use crate::{Codec, CodecId, DecompressError};
 
 const MIN_MATCH: usize = 4;
@@ -147,9 +147,7 @@ impl Codec for Lz4 {
         expected_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), DecompressError> {
-        out.clear();
-        // See `Lzf::decompress_into`: never pre-allocate an untrusted length.
-        out.reserve(expected_len.min(16 << 20));
+        let mut out = Output::new(out, expected_len);
         if input.is_empty() {
             if expected_len == 0 {
                 return Ok(());
@@ -161,42 +159,23 @@ impl Codec for Lz4 {
             let token = input[i];
             i += 1;
             let lit_len = read_length_ext(input, &mut i, (token >> 4) as usize)?;
-            if i + lit_len > input.len() {
-                return Err(DecompressError::Truncated);
-            }
-            if out.len() + lit_len > expected_len {
-                return Err(DecompressError::OutputOverflow { expected: expected_len });
-            }
-            out.extend_from_slice(&input[i..i + lit_len]);
+            out.extend_from(input, i, lit_len)?;
             i += lit_len;
             if i == input.len() {
                 break; // final, literal-only sequence
             }
-            if i + 2 > input.len() {
+            let Some(&[lo, hi]) = input.get(i..i + 2) else {
                 return Err(DecompressError::Truncated);
-            }
-            let offset = u16::from_le_bytes([input[i], input[i + 1]]) as usize;
+            };
+            let offset = u16::from_le_bytes([lo, hi]) as usize;
             i += 2;
             if offset == 0 {
                 return Err(DecompressError::Malformed("zero match offset"));
             }
             let match_len = read_length_ext(input, &mut i, (token & 0x0F) as usize)? + MIN_MATCH;
-            if offset > out.len() {
-                return Err(DecompressError::BadReference { at: out.len(), offset });
-            }
-            if out.len() + match_len > expected_len {
-                return Err(DecompressError::OutputOverflow { expected: expected_len });
-            }
-            let src = out.len() - offset;
-            for k in 0..match_len {
-                let b = out[src + k];
-                out.push(b);
-            }
+            out.copy_match(offset, match_len)?;
         }
-        if out.len() != expected_len {
-            return Err(DecompressError::SizeMismatch { expected: expected_len, actual: out.len() });
-        }
-        Ok(())
+        out.finish()
     }
 }
 

@@ -20,7 +20,7 @@
 //!
 //! Matches may overlap their own output (RLE-style), exactly as in LZ77.
 
-use crate::state::{common_prefix_len, with_thread_state, CompressorState};
+use crate::state::{common_prefix_len, with_thread_state, CompressorState, Output};
 use crate::{Codec, CodecId, DecompressError};
 
 /// Window size: offsets are 13 bits, biased by one.
@@ -155,11 +155,7 @@ impl Codec for Lzf {
         expected_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), DecompressError> {
-        out.clear();
-        // Cap the pre-allocation: `expected_len` may come from untrusted
-        // metadata, and a corrupt multi-gigabyte value must fail cheaply
-        // via the size check rather than aborting on allocation.
-        out.reserve(expected_len.min(16 << 20));
+        let mut out = Output::new(out, expected_len);
         let mut i = 0usize;
         while i < input.len() {
             let ctrl = input[i];
@@ -168,49 +164,23 @@ impl Codec for Lzf {
             if len_field == 0 {
                 // Literal run.
                 let run = (ctrl & 0x1F) as usize + 1;
-                if i + run > input.len() {
-                    return Err(DecompressError::Truncated);
-                }
-                if out.len() + run > expected_len {
-                    return Err(DecompressError::OutputOverflow { expected: expected_len });
-                }
-                out.extend_from_slice(&input[i..i + run]);
+                out.extend_from(input, i, run)?;
                 i += run;
             } else {
                 let len = if len_field == 7 {
-                    if i >= input.len() {
-                        return Err(DecompressError::Truncated);
-                    }
-                    let ext = input[i] as usize;
+                    let ext = *input.get(i).ok_or(DecompressError::Truncated)? as usize;
                     i += 1;
                     ext + 9
                 } else {
                     len_field + 2
                 };
-                if i >= input.len() {
-                    return Err(DecompressError::Truncated);
-                }
-                let offset = ((ctrl & 0x1F) as usize) << 8 | input[i] as usize;
+                let low = *input.get(i).ok_or(DecompressError::Truncated)? as usize;
                 i += 1;
-                let offset = offset + 1;
-                if offset > out.len() {
-                    return Err(DecompressError::BadReference { at: out.len(), offset });
-                }
-                if out.len() + len > expected_len {
-                    return Err(DecompressError::OutputOverflow { expected: expected_len });
-                }
-                // Byte-at-a-time copy: matches may overlap their output.
-                let src = out.len() - offset;
-                for k in 0..len {
-                    let b = out[src + k];
-                    out.push(b);
-                }
+                let offset = (((ctrl & 0x1F) as usize) << 8 | low) + 1;
+                out.copy_match(offset, len)?;
             }
         }
-        if out.len() != expected_len {
-            return Err(DecompressError::SizeMismatch { expected: expected_len, actual: out.len() });
-        }
-        Ok(())
+        out.finish()
     }
 }
 

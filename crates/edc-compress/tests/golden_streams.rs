@@ -165,3 +165,23 @@ fn golden_streams_round_trip() {
         assert_eq!(back, input, "{cname}/{fname} round trip");
     }
 }
+
+#[test]
+fn golden_stream_prefixes_fail_typed() {
+    // Every strict prefix of every golden stream is an error - never a
+    // short success, never a panic, never more output than declared. The
+    // decoders read ahead of the byte they need (8-byte bit refills,
+    // fixed-width literal copies); this pins what they do at the end of
+    // the input. The empty fixture is left out: it has nothing to lose.
+    let mut out = Vec::new();
+    for &(cname, fname, _, _) in GOLDEN.iter().filter(|g| g.1 != "empty") {
+        let codec = codec(cname);
+        let input = fixture(fname);
+        let stream = codec.compress(&input);
+        for cut in 0..stream.len() {
+            let result = codec.decompress_into(&stream[..cut], input.len(), &mut out);
+            assert!(result.is_err(), "{cname}/{fname}: {cut}/{} bytes decoded", stream.len());
+            assert!(out.len() <= input.len(), "{cname}/{fname}: output overran at cut {cut}");
+        }
+    }
+}

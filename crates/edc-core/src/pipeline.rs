@@ -414,6 +414,10 @@ pub struct EdcPipeline {
     codec_states: Vec<CompressorState>,
     /// Recycled decompressed-run buffers for the read path (bounded).
     read_buf_pool: Vec<Vec<u8>>,
+    /// Bumped whenever a stored run is released or replaced. A dedup
+    /// target confirmed at probe time needs no second byte-compare at
+    /// commit time if this has not moved in between.
+    run_mutations: u64,
     /// Decompressed-run LRU, keyed by device offset (unique per live run).
     cache: RunCache<Vec<u8>>,
     /// File-type semantic hints (paper §VI future work #1).
@@ -461,6 +465,7 @@ impl EdcPipeline {
             scratch: Vec::new(),
             codec_states: Vec::new(),
             read_buf_pool: Vec::new(),
+            run_mutations: 0,
             cache: RunCache::new(config.cache_runs),
             hints: HintRegistry::new(),
             journal: MappingJournal::with_shard(config.journal_shard),
@@ -838,9 +843,13 @@ impl EdcPipeline {
         let plen = entry.compressed_bytes as usize;
         let parity_at = off + entry.stored_bytes as usize - bb;
         let mut candidate = self.device[off..off + plen].to_vec();
+        let mut rebuilt = [0u8; BLOCK_BYTES as usize];
+        let mut damaged = [0u8; BLOCK_BYTES as usize];
+        let mut decoded = self.read_buf_pool.pop().unwrap_or_default();
+        let mut repaired = false;
         for page in 0..plen.div_ceil(bb).max(1) {
             // Rebuild this page from the parity and all the others.
-            let mut rebuilt: Vec<u8> = self.device[parity_at..parity_at + bb].to_vec();
+            rebuilt.copy_from_slice(&self.device[parity_at..parity_at + bb]);
             for (j, chunk) in candidate.chunks(bb).enumerate() {
                 if j == page {
                     continue;
@@ -851,23 +860,24 @@ impl EdcPipeline {
             }
             let lo = page * bb;
             let hi = (lo + bb).min(plen);
-            let damaged = candidate[lo..hi].to_vec();
+            damaged[..hi - lo].copy_from_slice(&candidate[lo..hi]);
             candidate[lo..hi].copy_from_slice(&rebuilt[..hi - lo]);
             let plausible = checksum64(&candidate, entry.run_start) == entry.checksum;
             let decodes = plausible
                 && (entry.tag == CodecId::None
                     || CodecRegistry::get(entry.tag).is_ok_and(|codec| {
                         let original = (u64::from(entry.run_blocks) * BLOCK_BYTES) as usize;
-                        let mut out = Vec::new();
-                        codec.decompress_into(&candidate, original, &mut out).is_ok()
+                        codec.decompress_into(&candidate, original, &mut decoded).is_ok()
                     }));
             if decodes {
                 self.device[off + lo..off + hi].copy_from_slice(&candidate[lo..hi]);
-                return true;
+                repaired = true;
+                break;
             }
-            candidate[lo..hi].copy_from_slice(&damaged);
+            candidate[lo..hi].copy_from_slice(&damaged[..hi - lo]);
         }
-        false
+        self.recycle_read_buf(decoded);
+        repaired
     }
 
     /// The decision half of the pipeline: hint → estimate → select. Runs
@@ -950,6 +960,10 @@ impl EdcPipeline {
             }
             self.recycle_read_buf(cmp);
         }
+        // Every target above was byte-compared against the store as it is
+        // now; as long as no run is released or replaced before a hit
+        // commits, that compare still stands.
+        let probed_at = self.run_mutations;
         // Phase 1: compression, the CPU-heavy pure part, fanned across
         // workers. Each job writes into a scratch buffer recycled from
         // previous drains, so the steady state performs no output
@@ -1017,9 +1031,10 @@ impl EdcPipeline {
             // journaled (new-ref-then-commit: a cut can orphan a taken
             // reference — volatile state recovery rebuilds anyway — but
             // never journal a reference that was not taken), then the
-            // mapping re-points. The target is re-verified at commit
-            // time, because an earlier chunk of this very drain may have
-            // superseded it; a stale target demotes the chunk to an
+            // mapping re-points. An earlier chunk of this very drain may
+            // have superseded the target, so once any run has been
+            // released or replaced since the probe the target is
+            // byte-compared again; a stale target demotes the chunk to an
             // ordinary unique store.
             if let Some(target) = dups[i] {
                 let off = match target {
@@ -1027,13 +1042,14 @@ impl EdcPipeline {
                     DupTarget::Earlier(j) => stored_at[j],
                 };
                 let template = self.dedup.template(off).copied();
-                let usable = template.is_some_and(|t| t.run_blocks == s.run.blocks) && {
-                    let t = template.expect("template checked above");
-                    let mut cmp = self.read_buf_pool.pop().unwrap_or_default();
-                    let ok = self.chunk_matches_stored(&t, &s.bytes, &mut cmp);
-                    self.recycle_read_buf(cmp);
-                    ok
-                };
+                let usable = template.is_some_and(|t| t.run_blocks == s.run.blocks)
+                    && (self.run_mutations == probed_at || {
+                        let t = template.expect("template checked above");
+                        let mut cmp = self.read_buf_pool.pop().unwrap_or_default();
+                        let ok = self.chunk_matches_stored(&t, &s.bytes, &mut cmp);
+                        self.recycle_read_buf(cmp);
+                        ok
+                    });
                 if usable {
                     let template = template.expect("template checked above");
                     let o = template.device_offset as usize;
@@ -1206,6 +1222,7 @@ impl EdcPipeline {
     /// no-op for untracked runs), and invalidate any cached decompression
     /// of the superseded run — a later read must never see it.
     fn release_superseded(&mut self, old: &MappingEntry) {
+        self.run_mutations += 1;
         self.slots.release_block_ref(old.device_offset);
         self.dedup.release_block(old.device_offset, old.run_start);
         if let Some(stale) = self.cache.invalidate(old.device_offset) {
@@ -1816,6 +1833,7 @@ impl EdcPipeline {
         stored_bytes: u64,
         referrers: &[(u64, u32)],
     ) -> Result<MappingEntry, EdcError> {
+        self.run_mutations += 1;
         let bb = BLOCK_BYTES as usize;
         let parity = self.config.parity;
         let device_offset = self.slots.alloc_run(stored_bytes, old.run_blocks);
@@ -3403,6 +3421,34 @@ mod tests {
         assert_eq!(p.read(3, 0, 4096).unwrap(), data);
         assert_eq!(p.read(4, 20 * 4096, 4096).unwrap(), data);
         assert_eq!(p.verify_dedup().unwrap().shared_runs, 1);
+    }
+
+    #[test]
+    fn target_superseded_earlier_in_the_drain_demotes_to_a_unique_store() {
+        let mut p = dedup_pipeline();
+        let dup = text_block(9);
+        p.write(0, 0, &dup).unwrap();
+        p.flush(1).unwrap();
+        // One drain, three chunks (a batch drains what it sealed at its
+        // end; the fourth write only seals the third): the first
+        // overwrites the only referrer of the stored run and so frees its
+        // slot, the second is new content that moves into the freed slot,
+        // the third carries the old run's content. The probe resolved the
+        // third to the old run; by its commit that offset holds the
+        // second chunk, and only the commit-time compare can tell.
+        let (other, third, last) = (text_block(4), text_block(5), text_block(6));
+        let at = |now_ns, block: u64, data| BatchWrite { now_ns, offset: block * 4096, data };
+        let batch = [at(10, 0, &other), at(11, 30, &third), at(12, 20, &dup), at(13, 40, &last)];
+        let results = p.write_batch(&batch).unwrap();
+        assert_eq!(results.len(), 3);
+        assert!(results.iter().all(|r| r.allocated_bytes > 0), "every chunk stores: {results:?}");
+        assert_eq!(p.map.get(30).unwrap().device_offset, 0, "the freed slot was reused");
+        assert_eq!(p.stats().dedup_hits, 0);
+        p.flush_all(14).unwrap();
+        assert_eq!(p.read(20, 0, 4096).unwrap(), other);
+        assert_eq!(p.read(21, 30 * 4096, 4096).unwrap(), third);
+        assert_eq!(p.read(22, 20 * 4096, 4096).unwrap(), dup);
+        assert_eq!(p.verify_dedup().unwrap().shared_runs, 0);
     }
 
     #[test]
