@@ -21,14 +21,17 @@
 //!   before it is reported, so the reproducer that lands in a regression
 //!   fixture is as small as the failure allows.
 //!
-//! The `edc-bench fuzz` subcommand drives [`run_campaign`] and fails the
-//! process on any crash; minimized crashers are printed as Rust array
+//! The `edc-bench fuzz` subcommand ([`run`]) drives [`run_campaign`] and
+//! fails on any crash; minimized crashers are printed as Rust array
 //! literals ready to check in under
 //! `crates/edc-compress/tests/fuzz_regressions.rs`.
 
+use crate::{CmdResult, Harness};
 use edc_compress::{codec_by_id, frame, Codec, CodecId};
 use edc_datagen::rng::Rng64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::time::Instant;
 
 /// What the oracle observed for one decoded input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,6 +370,54 @@ pub fn render_crash(c: &Crash) -> String {
         c.expected_len,
         bytes.join(", ")
     )
+}
+
+/// Structure-aware decoder fuzzing campaign: ≥100k seeded mutations of
+/// valid codec/frame streams (5k under `--smoke`) driven through every
+/// decoder behind a panic oracle. Writes `BENCH_fuzz.json`; fails —
+/// printing each minimized crasher as pasteable Rust — if any decode
+/// panics, overruns the expected length, or silently returns the wrong
+/// size.
+pub fn run(smoke: bool, out_dir: &Path) -> CmdResult {
+    let total: u64 = if smoke { 5_000 } else { 120_000 };
+    const SEED: u64 = 0xEDC_F002;
+    eprintln!("# fuzz: {total} inputs, seed {SEED:#x}");
+    let t0 = Instant::now();
+    let report = run_campaign(total, SEED);
+    let elapsed = t0.elapsed().as_secs_f64();
+
+    let mut h = Harness::new("fuzz", 1);
+    h.metric("inputs", report.inputs as f64);
+    h.metric("rejected", report.rejected as f64);
+    h.metric("accepted", report.accepted as f64);
+    h.metric("crashes", report.crashes.len() as f64);
+    h.metric("inputs_per_sec", report.inputs as f64 / elapsed.max(1e-9));
+    h.note(&format!("seed {SEED:#x}; every decode ran behind a panic/overrun oracle"));
+    eprintln!(
+        "# fuzz: {} inputs in {elapsed:.1}s — {} rejected, {} accepted, {} crash(es)",
+        report.inputs,
+        report.rejected,
+        report.accepted,
+        report.crashes.len()
+    );
+    if !report.passed() {
+        let dir = out_dir.join("crashers");
+        let _ = std::fs::create_dir_all(&dir);
+        for (i, c) in report.crashes.iter().enumerate() {
+            eprintln!("{}", render_crash(c));
+            // Persist the minimized stream too, so the crasher survives
+            // scrollback and can be re-fed to the decoders directly.
+            let p = dir.join(format!("fuzz_{i}.bin"));
+            match std::fs::write(&p, &c.input) {
+                Ok(()) => eprintln!("# crash input saved: {}", p.display()),
+                Err(e) => eprintln!("# warn: cannot save {}: {e}", p.display()),
+            }
+        }
+        eprintln!("# add the minimized streams above as regressions");
+    }
+    h.finish(out_dir, report.crashes.len() as u64)?;
+    eprintln!("# fuzz campaign passed: zero panics, overruns or wrong-length decodes");
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! [`std::time::Instant`], an optional per-iteration setup closure that
 //! stays outside the timed region, throughput derivation from a bytes
 //! count, and hand-rolled JSON output (no serde) for machine consumption
-//! under `results/`.
+//! under `results/` — read back by [`parse_report`], the one parser of
+//! that format.
 //!
 //! ```
 //! use edc_bench::harness::Harness;
@@ -15,6 +16,7 @@
 //! println!("{}", h.render());
 //! ```
 
+use crate::{verdict, CmdError, CmdResult};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -111,18 +113,7 @@ impl Harness {
             std::hint::black_box(routine(state));
             samples_ns.push(t0.elapsed().as_nanos() as u64);
         }
-        let mut sorted = samples_ns.clone();
-        sorted.sort_unstable();
-        let case = CaseResult {
-            name: name.to_string(),
-            median_ns: sorted[sorted.len() / 2],
-            min_ns: sorted[0],
-            max_ns: sorted[sorted.len() - 1],
-            samples_ns,
-            bytes_per_iter,
-        };
-        self.results.push(case);
-        self.results.last().expect("just pushed")
+        self.record_case(name, samples_ns, bytes_per_iter)
     }
 
     /// Record a case from externally collected wall-clock samples — for
@@ -136,10 +127,10 @@ impl Harness {
     ) -> &CaseResult {
         assert!(!samples_ns.is_empty(), "at least one sample");
         let mut sorted = samples_ns.clone();
-        sorted.sort_unstable();
+        let median_ns = percentile(&mut sorted, 50);
         let case = CaseResult {
             name: name.to_string(),
-            median_ns: sorted[sorted.len() / 2],
+            median_ns,
             min_ns: sorted[0],
             max_ns: sorted[sorted.len() - 1],
             samples_ns,
@@ -242,9 +233,8 @@ impl Harness {
             s.push_str(&format!("{}: {}", json_str(k), json_num(*v)));
         }
         s.push_str("},\n");
-        // Trajectory series keep `name` on their own line *without* a
-        // throughput field, so the line-based regression parser in
-        // `check_bench` never mistakes a series for a timed case.
+        // Trajectory series carry no `"name": ` key, so the line-based
+        // [`parse_report`] never mistakes a series for a timed case.
         s.push_str("  \"series\": {");
         for (i, (name, points)) in self.series.iter().enumerate() {
             if i > 0 {
@@ -282,6 +272,99 @@ impl Harness {
         f.write_all(self.to_json().as_bytes())?;
         Ok(path)
     }
+
+    /// How every bench and campaign ends: print the report, write
+    /// `BENCH_<name>.json` into `out_dir`, and turn the `violations` the
+    /// run counted into its verdict.
+    pub fn finish(&self, out_dir: &Path, violations: u64) -> CmdResult {
+        print!("{}", self.render());
+        let path = self.write_json(out_dir).map_err(|e| {
+            CmdError::Usage(format!(
+                "writing BENCH_{}.json into {}: {e}",
+                self.name,
+                out_dir.display()
+            ))
+        })?;
+        eprintln!("# wrote {}", path.display());
+        verdict(&self.name, violations)
+    }
+}
+
+/// The `pct`-th percentile of `samples` by nearest rank (the element at
+/// `len * pct / 100` once sorted; sorts in place). The one percentile
+/// rule of every latency figure the harness reports.
+pub fn percentile(samples: &mut [u64], pct: usize) -> u64 {
+    assert!(!samples.is_empty(), "at least one sample");
+    samples.sort_unstable();
+    samples[(samples.len() * pct / 100).min(samples.len() - 1)]
+}
+
+/// What [`parse_report`] reads back from a `BENCH_*.json` document.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ParsedReport {
+    /// Every case, in file order: its name and, when the case declared a
+    /// bytes count, its `throughput_mib_s`.
+    pub cases: Vec<(String, Option<f64>)>,
+    /// Every scalar metric, in file order; a non-finite value (written
+    /// as `null`) reads back as NaN, so a NaN gate still fails the check.
+    pub metrics: Vec<(String, f64)>,
+}
+
+impl ParsedReport {
+    /// The `gate0_*` verdict metrics (must be exactly 0 in a passing run).
+    pub fn gates(&self) -> impl Iterator<Item = (&str, f64)> {
+        self.metrics.iter().filter(|(k, _)| k.starts_with("gate0_")).map(|(k, v)| (k.as_str(), *v))
+    }
+}
+
+/// Parse what [`Harness::to_json`] wrote. Line-based, relying on that
+/// writer's layout (one case per line, the `metrics` object on one line;
+/// the workspace has no serde); lines of any other shape are skipped.
+pub fn parse_report(text: &str) -> ParsedReport {
+    let mut report = ParsedReport::default();
+    for line in text.lines() {
+        if let Some(rest) = line.trim_start().strip_prefix("{\"name\": ") {
+            let Some((name, rest)) = json_unstr(rest) else { continue };
+            let throughput = rest
+                .split_once("\"throughput_mib_s\": ")
+                .and_then(|(_, v)| v[..v.find([',', '}'])?].trim().parse().ok());
+            report.cases.push((name, throughput));
+        } else if let Some(mut body) = line.trim_start().strip_prefix("\"metrics\": {") {
+            while let Some((key, rest)) = json_unstr(body) {
+                let rest = rest.strip_prefix(": ").unwrap_or(rest);
+                let end = rest.find([',', '}']).unwrap_or(rest.len());
+                match rest[..end].trim() {
+                    "null" => report.metrics.push((key, f64::NAN)),
+                    value => report.metrics.extend(value.parse().ok().map(|v| (key, v))),
+                }
+                body = rest[end..].trim_start_matches([',', ' ']);
+            }
+        }
+    }
+    report
+}
+
+/// Read one JSON string literal as [`json_str`] writes it from the front
+/// of `s`; returns the unescaped string and the text after the closing
+/// quote.
+fn json_unstr(s: &str) -> Option<(String, &str)> {
+    let mut out = String::new();
+    let mut chars = s.strip_prefix('"')?.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Some((out, &s[i + 2..])),
+            '\\' => match chars.next()?.1 {
+                'u' => {
+                    let hex = s.get(i + 3..i + 7)?;
+                    out.push(char::from_u32(u32::from_str_radix(hex, 16).ok()?)?);
+                    chars.nth(3);
+                }
+                escaped => out.push(escaped),
+            },
+            c => out.push(c),
+        }
+    }
+    None
 }
 
 /// JSON string literal (the names used here never need exotic escapes,
@@ -367,17 +450,48 @@ mod tests {
         assert!(j.contains("{\"t_ns\": 2000, \"value\": null}"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-        // A series name must never sit on the same line as a
-        // throughput figure (check_bench's parser is line-based).
-        for line in j.lines() {
-            assert!(
-                !(line.contains("live_bytes") && line.contains("throughput_mib_s")),
-                "series line would confuse the regression parser: {line}"
-            );
-        }
+        // The line-based parser must not mistake a series for a case.
+        assert_eq!(parse_report(&j).cases, vec![("a".to_string(), None)]);
         let text = h.render();
         assert!(text.contains("series live_bytes"));
         assert!(text.contains("3 points"));
+    }
+
+    #[test]
+    fn parse_round_trips_case_names_and_gates() {
+        let mut h = Harness::new("t", 2);
+        h.run("plain", || ());
+        h.record_case("write/dup40/on", vec![2_000_000, 1_000_000], Some(1 << 20));
+        h.run("quoted \"name\" \\ \u{1}", || ());
+        h.metric("gate0_unrepaired_loss", 0.0);
+        h.metric("speedup", 2.5);
+        h.metric("nan", f64::NAN);
+        h.metric("gate0_trend_violation", 1.0);
+        h.series("live_bytes", vec![(0, 1.0), (1_000, 2.5)]);
+        h.note("a \"note\": 1, with, commas");
+        let parsed = parse_report(&h.to_json());
+        let names: Vec<&str> = parsed.cases.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["plain", "write/dup40/on", "quoted \"name\" \\ \u{1}"]);
+        assert_eq!(parsed.cases[0].1, None);
+        // 1 MiB at the 2 ms median (the upper of two samples) = 500 MiB/s.
+        assert_eq!(parsed.cases[1].1, Some(500.0));
+        assert_eq!(
+            parsed.gates().collect::<Vec<_>>(),
+            [("gate0_unrepaired_loss", 0.0), ("gate0_trend_violation", 1.0)]
+        );
+        // Non-finite metrics are written as null and read back as NaN.
+        assert_eq!(parsed.metrics.len(), 4);
+        assert_eq!(parsed.metrics[1], ("speedup".to_string(), 2.5));
+        assert!(parsed.metrics[2].0 == "nan" && parsed.metrics[2].1.is_nan());
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank_on_the_sorted_samples() {
+        let mut lat: Vec<u64> = (1..=200).rev().collect();
+        assert_eq!(percentile(&mut lat, 50), 101);
+        assert_eq!(percentile(&mut lat, 99), 199);
+        assert_eq!(percentile(&mut lat, 100), 200);
+        assert_eq!(percentile(&mut [7], 99), 7);
     }
 
     #[test]

@@ -29,8 +29,7 @@
 //! * [`pipeline::EdcPipeline`] — the real-bytes engine: give it actual
 //!   block writes and it estimates, merges, compresses (with the
 //!   from-scratch codecs in `edc-compress`) and hands back compressed
-//!   segments plus mapping updates. [`parallel::ParallelCompressor`] runs
-//!   the compression stage across threads.
+//!   segments plus mapping updates.
 //! * [`scheme::SimScheme`] — the trace-replay engine used for the paper's
 //!   experiments, where content compressibility comes from a calibrated
 //!   [`content::ContentModel`] and CPU cost from the
@@ -88,7 +87,6 @@ pub use hints::{FileTypeHint, HintRegistry};
 pub use journal::{MappingJournal, RecoveryError, Replay};
 pub use mapping::{BlockMap, MappingEntry};
 pub use monitor::WorkloadMonitor;
-pub use parallel::ParallelCompressor;
 pub use pipeline::{
     EdcPipeline, PipelineConfig, PipelineStats, ReadError, RecompressReport, RecoveryReport,
     ScrubReport, WriteResult,

@@ -1,150 +1,18 @@
-//! Multi-threaded compression engine.
+//! Scoped index-parallel map.
 //!
-//! A production inline-compression appliance compresses independent merged
-//! runs on several cores. [`ParallelCompressor`] does exactly that with
-//! `std::thread::scope` workers over a shared atomic work index (simple
-//! self-scheduling — no channels, no locks, no per-job allocation beyond
-//! the output vector), preserving input order in the results. Each worker
-//! owns one [`CompressorState`] for the whole batch, so codec scratch
-//! (hash tables, chains, Huffman buffers) is paid once per worker, not
-//! once per job. Compression is pure and state reuse is stream-stable, so
-//! the parallel results are bit-identical to the serial ones.
+//! [`par_map_indexed`] runs a closure over `0..n` on `std::thread::scope`
+//! workers with simple self-scheduling — no channels, no locks — and
+//! returns the results in index order.
 
-use edc_compress::{CodecId, CodecRegistry, CompressorState, DecompressError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// One compression job: a codec and an input block.
-#[derive(Debug, Clone, Copy)]
-pub struct Job<'a> {
-    /// Codec to apply (`CodecId::None` copies the input).
-    pub codec: CodecId,
-    /// Input bytes.
-    pub data: &'a [u8],
-}
-
-/// A fixed-width parallel compression engine.
-///
-/// ```
-/// use edc_core::parallel::{ParallelCompressor, Job};
-/// use edc_compress::CodecId;
-///
-/// let blocks: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 4096]).collect();
-/// let jobs: Vec<Job<'_>> =
-///     blocks.iter().map(|d| Job { codec: CodecId::Lzf, data: d }).collect();
-/// let out = ParallelCompressor::new(4).compress_batch(&jobs);
-/// assert_eq!(out.len(), 8); // results in job order, bit-identical to serial
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelCompressor {
-    workers: usize,
-}
-
-impl ParallelCompressor {
-    /// Create an engine with `workers` threads (≥ 1).
-    pub fn new(workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        ParallelCompressor { workers }
-    }
-
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Compress all jobs; results are in job order.
-    pub fn compress_batch(&self, jobs: &[Job<'_>]) -> Vec<Vec<u8>> {
-        self.run_indexed(jobs, |state, _i, codec, data| match CodecRegistry::get(codec) {
-            // Write-through: no codec, copy the input.
-            Err(_) => data.to_vec(),
-            Ok(c) => {
-                let mut out = Vec::new();
-                c.compress_with(state, data, &mut out);
-                out
-            }
-        })
-    }
-
-    /// Decompress all `(codec, stream, original_len)` tuples, in order.
-    pub fn decompress_batch(
-        &self,
-        jobs: &[(CodecId, &[u8], usize)],
-    ) -> Vec<Result<Vec<u8>, DecompressError>> {
-        let wrapped: Vec<Job<'_>> =
-            jobs.iter().map(|&(codec, data, _)| Job { codec, data }).collect();
-        let lens: Vec<usize> = jobs.iter().map(|&(_, _, n)| n).collect();
-        // Reuse the generic runner; thread the expected length through by
-        // index (jobs are processed by index, so pairing is exact).
-        self.run_indexed(&wrapped, |_state, i, codec, data| match CodecRegistry::get(codec) {
-            Err(_) => Ok(data.to_vec()),
-            Ok(c) => c.decompress(data, lens[i]),
-        })
-    }
-
-    /// Self-scheduling parallel map preserving job order: workers claim
-    /// indices from a shared atomic counter, accumulate `(index, value)`
-    /// pairs privately, and the results are scattered into place after the
-    /// joins — no per-job lock traffic on the hot path. Each worker owns
-    /// one [`CompressorState`] for the whole batch.
-    fn run_indexed<T, F>(&self, jobs: &[Job<'_>], f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut CompressorState, usize, CodecId, &[u8]) -> T + Sync,
-    {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = self.workers.min(n);
-        if threads == 1 {
-            let mut state = CompressorState::new();
-            return jobs
-                .iter()
-                .enumerate()
-                .map(|(i, j)| f(&mut state, i, j.codec, j.data))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut state = CompressorState::new();
-                        let mut done: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            done.push((i, f(&mut state, i, jobs[i].codec, jobs[i].data)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, v) in h.join().expect("worker panicked") {
-                    results[i] = Some(v);
-                }
-            }
-        });
-        results.into_iter().map(|v| v.expect("every index claimed")).collect()
-    }
-}
-
-impl Default for ParallelCompressor {
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
-        ParallelCompressor::new(cores.clamp(1, 8))
-    }
-}
-
 /// Scoped parallel map over indices `0..n`, preserving index order in the
-/// results. Same self-scheduling shape as the compression engine (shared
-/// atomic work counter, private accumulation, scatter after join), but
-/// generic over the closure — [`crate::shard::ShardedPipeline`] uses it to
-/// fan maintenance operations (`flush_all`, `recover`, `scrub`, `verify`)
-/// across shards, each closure locking its own shard.
+/// results: workers claim indices from a shared atomic counter, accumulate
+/// `(index, value)` pairs privately, and the results are scattered into
+/// place after the joins — no per-item lock traffic.
+/// [`crate::shard::ShardedPipeline`] uses it to fan maintenance operations
+/// (`flush_all`, `recover`, `scrub`, `verify`) across shards, each closure
+/// locking its own shard.
 ///
 /// `n == 0` returns an empty vector; `workers` is clamped to `[1, n]`.
 pub fn par_map_indexed<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
@@ -190,105 +58,6 @@ where
 mod tests {
     use super::*;
 
-    fn blocks(n: usize) -> Vec<Vec<u8>> {
-        (0..n)
-            .map(|i| {
-                format!("parallel compression block {i} content content content ")
-                    .into_bytes()
-                    .into_iter()
-                    .cycle()
-                    .take(4096 + i * 13)
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let data = blocks(37);
-        let jobs: Vec<Job<'_>> =
-            data.iter().map(|d| Job { codec: CodecId::Deflate, data: d }).collect();
-        let serial = ParallelCompressor::new(1).compress_batch(&jobs);
-        let parallel = ParallelCompressor::new(4).compress_batch(&jobs);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn order_is_preserved() {
-        let data = blocks(16);
-        let jobs: Vec<Job<'_>> = data.iter().map(|d| Job { codec: CodecId::Lzf, data: d }).collect();
-        let out = ParallelCompressor::new(4).compress_batch(&jobs);
-        for (i, (result, original)) in out.iter().zip(&data).enumerate() {
-            let codec = CodecRegistry::get(CodecId::Lzf).unwrap();
-            assert_eq!(
-                &codec.decompress(result, original.len()).unwrap(),
-                original,
-                "job {i} out of order"
-            );
-        }
-    }
-
-    #[test]
-    fn mixed_codecs_in_one_batch() {
-        let data = blocks(8);
-        let codecs = [CodecId::Lzf, CodecId::Lz4, CodecId::Deflate, CodecId::Bwt];
-        let jobs: Vec<Job<'_>> = data
-            .iter()
-            .enumerate()
-            .map(|(i, d)| Job { codec: codecs[i % 4], data: d })
-            .collect();
-        let out = ParallelCompressor::new(3).compress_batch(&jobs);
-        for (i, (stream, original)) in out.iter().zip(&data).enumerate() {
-            let codec = CodecRegistry::get(codecs[i % 4]).unwrap();
-            assert_eq!(&codec.decompress(stream, original.len()).unwrap(), original);
-        }
-    }
-
-    #[test]
-    fn none_codec_copies() {
-        let data = blocks(3);
-        let jobs: Vec<Job<'_>> = data.iter().map(|d| Job { codec: CodecId::None, data: d }).collect();
-        let out = ParallelCompressor::new(2).compress_batch(&jobs);
-        assert_eq!(out, data);
-    }
-
-    #[test]
-    fn empty_batch() {
-        let out = ParallelCompressor::new(4).compress_batch(&[]);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn decompress_batch_round_trips() {
-        let data = blocks(12);
-        let jobs: Vec<Job<'_>> =
-            data.iter().map(|d| Job { codec: CodecId::Deflate, data: d }).collect();
-        let streams = ParallelCompressor::new(4).compress_batch(&jobs);
-        let dec_jobs: Vec<(CodecId, &[u8], usize)> = streams
-            .iter()
-            .zip(&data)
-            .map(|(s, d)| (CodecId::Deflate, s.as_slice(), d.len()))
-            .collect();
-        let out = ParallelCompressor::new(4).decompress_batch(&dec_jobs);
-        for (r, d) in out.into_iter().zip(&data) {
-            assert_eq!(&r.unwrap(), d);
-        }
-    }
-
-    #[test]
-    fn decompress_batch_surfaces_errors() {
-        let garbage = vec![0xFFu8; 64];
-        let jobs = [(CodecId::Deflate, garbage.as_slice(), 4096)];
-        let out = ParallelCompressor::new(2).decompress_batch(&jobs);
-        assert!(out[0].is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        let _ = ParallelCompressor::new(0);
-    }
-
     #[test]
     fn par_map_indexed_preserves_order() {
         for workers in [1, 2, 5] {
@@ -296,13 +65,5 @@ mod tests {
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
         }
         assert!(par_map_indexed(0, 4, |i| i).is_empty());
-    }
-
-    #[test]
-    fn more_workers_than_jobs() {
-        let data = blocks(2);
-        let jobs: Vec<Job<'_>> = data.iter().map(|d| Job { codec: CodecId::Lzf, data: d }).collect();
-        let out = ParallelCompressor::new(16).compress_batch(&jobs);
-        assert_eq!(out.len(), 2);
     }
 }

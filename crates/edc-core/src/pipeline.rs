@@ -1899,14 +1899,6 @@ impl EdcPipeline {
         self.faults.stats()
     }
 
-    /// Cumulative page programs — the power-cut clock position. A
-    /// campaign learns a workload's program count from a clean run, then
-    /// sweeps `power_cut_after_programs` across `0..stats().programs`.
-    #[deprecated(since = "0.7.0", note = "use `stats().programs`")]
-    pub fn programs(&self) -> u64 {
-        self.faults.programs()
-    }
-
     /// Whether the (simulated) store currently has power.
     pub fn powered(&self) -> bool {
         self.faults.powered()
@@ -1920,70 +1912,24 @@ impl EdcPipeline {
         self.faults.cut_power();
     }
 
-    /// Reads served raw despite a checksum mismatch (only possible with
-    /// [`FaultPlan::allow_degraded_reads`]).
-    #[deprecated(since = "0.7.0", note = "use `stats().degraded_reads`")]
-    pub fn degraded_reads(&self) -> u64 {
-        self.degraded_reads
-    }
-
-    /// Committed runs journaled so far.
-    #[deprecated(since = "0.7.0", note = "use `stats().journal_records`")]
-    pub fn journal_records(&self) -> u64 {
-        self.journal.records()
-    }
-
-    /// Journal size in bytes.
-    #[deprecated(since = "0.7.0", note = "use `stats().journal_bytes`")]
-    pub fn journal_bytes(&self) -> usize {
-        self.journal.len_bytes()
-    }
-
     /// Test hook: tear the journal to its first `bytes` bytes, simulating
     /// a cut mid-way through a journal page program.
     pub fn truncate_journal_bytes(&mut self, bytes: usize) {
         self.journal.truncate_bytes(bytes);
     }
 
-    /// Cumulative logical bytes accepted.
-    #[deprecated(since = "0.7.0", note = "use `stats().logical_written`")]
-    pub fn logical_written(&self) -> u64 {
-        self.logical_written
-    }
-
-    /// Cumulative flash bytes allocated.
-    #[deprecated(since = "0.7.0", note = "use `stats().physical_written`")]
-    pub fn physical_written(&self) -> u64 {
-        self.physical_written
-    }
-
     /// Current live on-flash footprint: the stored bytes (allocated quanta
     /// plus any parity page) of every live run. Unlike the cumulative
-    /// [`EdcPipeline::physical_written`], this shrinks when background
+    /// [`PipelineStats::physical_written`], this shrinks when background
     /// recompression or overwrites release space — it is the number the
     /// heat bench's space gate compares.
     pub fn live_stored_bytes(&self) -> u64 {
         self.map.live_runs().iter().map(|e| e.stored_bytes).sum()
     }
 
-    /// The paper's compression ratio over everything written so far.
-    #[deprecated(since = "0.7.0", note = "use `stats().compression_ratio()`")]
-    pub fn compression_ratio(&self) -> f64 {
-        if self.physical_written == 0 {
-            return 1.0;
-        }
-        self.logical_written as f64 / self.physical_written as f64
-    }
-
     /// Allocator statistics.
     pub fn alloc_stats(&self) -> AllocStats {
         self.allocator.stats()
-    }
-
-    /// Decompressed-run read-cache statistics (all zeroes when disabled).
-    #[deprecated(since = "0.7.0", note = "use `stats().cache`")]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// One consistent snapshot of every counter (the mapping figures come
@@ -2109,13 +2055,6 @@ impl EdcPipeline {
     /// steady-state compression performs no codec-side allocation.
     pub fn codec_state_alloc_events(&self) -> u64 {
         self.codec_states.iter().map(CompressorState::alloc_events).sum()
-    }
-
-    /// The raw device image. Two pipelines fed the same writes must hold
-    /// identical images regardless of worker count — benchmarks and tests
-    /// assert the batched path against the serial one with this.
-    pub fn device_image(&self) -> &[u8] {
-        &self.device
     }
 
     /// The active configuration.
@@ -2547,34 +2486,43 @@ mod tests {
         let make = |workers: usize| {
             EdcPipeline::new(8 << 20, PipelineConfig { workers, ..PipelineConfig::default() })
         };
-        let blocks: Vec<Vec<u8>> = (0..64)
+        // Two inputs, as (run, arrival gap, offset stride in blocks):
+        // single mixed text/random blocks 1 µs apart (the burst band), and
+        // 4-block source-like runs 100 ms apart — calculated IOPS in the
+        // idle band, so every run goes to Deflate, where the compression
+        // fan-out does the most work. Strides leave gaps so no runs merge.
+        let mixed: Vec<Vec<u8>> = (0..64)
             .map(|i| if i % 5 == 4 { random_block(i) } else { text_block(i as u8) })
             .collect();
-        let batch: Vec<BatchWrite<'_>> = blocks
-            .iter()
-            .enumerate()
-            .map(|(i, data)| BatchWrite {
-                now_ns: i as u64 * 1000,
-                offset: (i as u64 * 3) * 4096,
-                data,
-            })
-            .collect();
+        let source = edc_datagen::corpus::linux_source_like(11, 64, 4 * 4096).blocks;
+        for (runs, gap_ns, stride) in [(&mixed, 1_000u64, 3u64), (&source, 100_000_000, 5)] {
+            let batch: Vec<BatchWrite<'_>> = runs
+                .iter()
+                .enumerate()
+                .map(|(i, data)| BatchWrite {
+                    now_ns: i as u64 * gap_ns,
+                    offset: (i as u64 * stride) * 4096,
+                    data,
+                })
+                .collect();
+            let end_ns = runs.len() as u64 * gap_ns;
 
-        // Serial reference: one write at a time, one worker.
-        let mut serial = make(1);
-        for w in &batch {
-            serial.write(w.now_ns, w.offset, w.data).unwrap();
+            // Serial reference: one write at a time, one worker.
+            let mut serial = make(1);
+            for w in &batch {
+                serial.write(w.now_ns, w.offset, w.data).unwrap();
+            }
+            serial.flush(end_ns).unwrap();
+
+            // Batched, four workers, one call.
+            let mut batched = make(4);
+            batched.write_batch(&batch).unwrap();
+            batched.flush_all(end_ns).unwrap();
+
+            assert!(serial.device == batched.device, "device images must be bit-identical");
+            assert_eq!(serial.stats().physical_written, batched.stats().physical_written);
+            assert_eq!(serial.stats().logical_written, batched.stats().logical_written);
         }
-        serial.flush(1_000_000).unwrap();
-
-        // Batched, four workers, one call.
-        let mut batched = make(4);
-        batched.write_batch(&batch).unwrap();
-        batched.flush_all(1_000_000).unwrap();
-
-        assert_eq!(serial.device, batched.device, "device images must be bit-identical");
-        assert_eq!(serial.stats().physical_written, batched.stats().physical_written);
-        assert_eq!(serial.stats().logical_written, batched.stats().logical_written);
     }
 
     #[test]
@@ -3411,12 +3359,17 @@ mod tests {
     #[test]
     fn duplicate_within_one_drain_dedups_against_earlier_chunk() {
         let mut p = dedup_pipeline();
-        let data = text_block(9);
-        // Two identical single-block runs sealed into the same drain: the
-        // second must share the first's freshly stored run.
-        p.write(0, 0, &data).unwrap();
-        p.write(1, 20 * 4096, &data).unwrap();
-        p.flush_all(2).unwrap();
+        let (data, last) = (text_block(9), text_block(6));
+        // Two identical single-block runs sealed into the same drain (a
+        // batch drains what it sealed at its end; the third write only
+        // seals the second): the second must share the first's freshly
+        // stored run, which no index lookup can see yet.
+        let at = |now_ns, block: u64, data| BatchWrite { now_ns, offset: block * 4096, data };
+        let results = p.write_batch(&[at(0, 0, &data), at(1, 20, &data), at(2, 40, &last)]).unwrap();
+        assert_eq!(results.len(), 2);
+        assert!(results[0].allocated_bytes > 0, "the first copy stores: {results:?}");
+        assert_eq!(results[1].allocated_bytes, 0, "the second copy is a hit: {results:?}");
+        p.flush_all(3).unwrap();
         assert_eq!(p.stats().dedup_hits, 1);
         assert_eq!(p.read(3, 0, 4096).unwrap(), data);
         assert_eq!(p.read(4, 20 * 4096, 4096).unwrap(), data);

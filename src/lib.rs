@@ -17,7 +17,7 @@
 //! | [`trace`] | SPC/MSR trace parsers, synthetic bursty workload generators, workload statistics |
 //! | [`flash`] | NAND SSD simulator: page-mapped FTL, garbage collection, wear, RAIS arrays |
 //! | [`sim`] | discrete-event replay engine: event queue, CPU pool, latency accounting |
-//! | [`core`] | EDC itself — monitor, selector, sequentiality detector, quantized allocator, mapping table — plus the Native/fixed baselines, a real-bytes [`EdcPipeline`](core::pipeline::EdcPipeline), a parallel compression engine, the concurrent [`ShardedPipeline`](core::shard::ShardedPipeline) front-end, and the asynchronous [`Ring`](core::ring::Ring) submission/completion front-end |
+//! | [`core`] | EDC itself — monitor, selector, sequentiality detector, quantized allocator, mapping table — plus the Native/fixed baselines, a real-bytes [`EdcPipeline`](core::pipeline::EdcPipeline), the concurrent [`ShardedPipeline`](core::shard::ShardedPipeline) front-end, and the asynchronous [`Ring`](core::ring::Ring) submission/completion front-end |
 //!
 //! ## Quickstart
 //!
