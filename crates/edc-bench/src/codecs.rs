@@ -1,19 +1,18 @@
-//! `bench-codecs`: per-codec throughput and ratio rows, the live
-//! encoders against the frozen pre-refactor ones in the same run.
+//! `bench-codecs`: per-codec throughput and ratio rows at the block and
+//! at the run size, beside an earlier report's when one is named.
 
 use crate::harness::parse_report;
 use crate::{CmdError, CmdResult, Harness};
-use edc_compress::{baseline, CodecId, CodecRegistry, CompressorState};
-use edc_datagen::{BlockClass, ContentGenerator};
+use edc_compress::{CodecId, CodecRegistry, CompressorState};
+use edc_datagen::{BlockClass, ContentGenerator, DataMix};
 use std::path::Path;
 
 /// Per-codec throughput and ratio sweep: every codec in the elastic
-/// ladder against every `edc-datagen` corpus class, compress and
-/// decompress, with the frozen pre-refactor encoders
-/// ([`edc_compress::baseline`]) timed by the same harness in the same run
-/// as the hot-path speedup baseline. `prior` names an earlier
-/// `BENCH_codecs.json` whose decode rows are recorded beside this run's
-/// — recorded, never gated on. Writes `BENCH_codecs.json`.
+/// ladder against every `edc-datagen` corpus class at the 4 KiB block
+/// size, and the three ladder codecs on 16 KiB and 64 KiB runs, compress
+/// and decompress. `prior` names an earlier `BENCH_codecs.json` whose
+/// encode rows, decode rows and ratios are recorded beside this run's —
+/// recorded, never gated on. Writes `BENCH_codecs.json`.
 pub fn run(smoke: bool, out_dir: &Path, prior: Option<&Path>) -> CmdResult {
     // Read up front: a mistyped path should not cost a full run.
     let prior = prior
@@ -25,8 +24,7 @@ pub fn run(smoke: bool, out_dir: &Path, prior: Option<&Path>) -> CmdResult {
     let samples = if smoke { 3 } else { 9 };
     let n_blocks: usize = if smoke { 4 } else { 64 };
     // The paper's flash-page unit and the selector's per-block granularity;
-    // this is the size the write path hands each codec. Merged-run-sized
-    // (16 KiB) throughput is measured separately in the baseline section.
+    // merged runs are timed separately below.
     let block_len: usize = 4 * 1024;
 
     let mut h = Harness::new("codecs", samples);
@@ -68,84 +66,57 @@ pub fn run(smoke: bool, out_dir: &Path, prior: Option<&Path>) -> CmdResult {
         }
     }
 
-    // The read path's unit: a cold read decodes one whole merged run, so
-    // the ladder codecs are also timed on 64 KiB runs, where the per-call
-    // setup the block-sized cases pay (Deflate's header and tables) is
-    // amortized and the copy loops dominate.
-    let run_len: usize = 64 * 1024;
-    let n_runs = (n_blocks / 8).max(2);
-    for class in [BlockClass::Text, BlockClass::Code, BlockClass::Binary] {
+    // The unit of the write and cold-read paths is a sealed run, not a
+    // block: up to 16 blocks go through one `compress_with` call and come
+    // back through one decode, so the ladder codecs are also timed on
+    // 16 KiB and 64 KiB inputs, where the per-call setup the block-sized
+    // cases pay (Deflate's header and tables) is amortized and the match
+    // finder and copy loops dominate. Pure classes first, then the two
+    // shapes a run of real blocks takes that a pure class does not: four
+    // 16 KiB units drawn from the primary-storage mix (compressible and
+    // incompressible stretches inside one input), and a run no codec can
+    // shrink.
+    let ladder = [CodecId::Lzf, CodecId::Lz4, CodecId::Deflate];
+    let pure_runs = |class: BlockClass, len: usize, count: usize| -> Vec<Vec<u8>> {
         let mut gen = ContentGenerator::pure(0xEDC, class);
-        let runs: Vec<Vec<u8>> = (0..n_runs).map(|_| gen.block_of(class, run_len)).collect();
+        (0..count).map(|_| gen.block_of(class, len)).collect()
+    };
+    let n_runs = (n_blocks / 8).max(2);
+    let mut run_sets: Vec<(&str, String, Vec<Vec<u8>>)> = Vec::new();
+    for (tag, len, count) in [("run16k", 16 * 1024, n_runs * 4), ("run64k", 64 * 1024, n_runs)] {
+        for class in [BlockClass::Text, BlockClass::Code, BlockClass::Binary] {
+            run_sets.push((tag, format!("{class:?}").to_lowercase(), pure_runs(class, len, count)));
+        }
+    }
+    let mut mix = ContentGenerator::new(0xEDC, DataMix::primary_storage());
+    let mixed = (0..n_runs * 2).map(|_| (0..4).flat_map(|_| mix.block(16 * 1024).1).collect());
+    run_sets.push(("run64k", "mixed".into(), mixed.collect()));
+    let media = pure_runs(BlockClass::Media, 64 * 1024, n_runs);
+    run_sets.push(("run64k", "incompressible".into(), media));
+    for (tag, cname, runs) in &run_sets {
         let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-        let cname = format!("{class:?}").to_lowercase();
-        for id in [CodecId::Lzf, CodecId::Lz4, CodecId::Deflate] {
+        for id in ladder {
             let codec = CodecRegistry::get(id).expect("ladder codec");
-            let streams: Vec<Vec<u8>> = runs.iter().map(|r| codec.compress(r)).collect();
-            let mut dec = Vec::new();
             let label = id.name().to_lowercase();
-            h.run_bytes(&format!("decompress_run64k/{label}/{cname}"), total, || {
-                for (s, r) in streams.iter().zip(&runs) {
+            let mut state = CompressorState::new();
+            let mut out = Vec::new();
+            h.run_bytes(&format!("compress_{tag}/{label}/{cname}"), total, || {
+                for r in runs {
+                    codec.compress_with(&mut state, r, &mut out);
+                    std::hint::black_box(out.len());
+                }
+            });
+            let streams: Vec<Vec<u8>> = runs.iter().map(|r| codec.compress(r)).collect();
+            let comp_total: u64 = streams.iter().map(|s| s.len() as u64).sum();
+            let ratio = total as f64 / comp_total.max(1) as f64;
+            h.metric(&format!("ratio_{tag}_{label}_{cname}"), ratio);
+            let mut dec = Vec::new();
+            h.run_bytes(&format!("decompress_{tag}/{label}/{cname}"), total, || {
+                for (s, r) in streams.iter().zip(runs) {
                     codec.decompress_into(s, r.len(), &mut dec).expect("round trip");
                     std::hint::black_box(dec.len());
                 }
             });
-        }
-    }
-
-    // Pre-refactor baseline, same harness, same run, same text corpus —
-    // the honest denominator for the hot-path speedup claims. Bwt has no
-    // frozen baseline (its hot path was not refactored). The refactored
-    // encoder is re-timed here, back-to-back with its baseline, rather
-    // than reusing the sweep's number from minutes earlier: on shared
-    // machines throughput drifts over a run, and adjacency is what makes
-    // the before/after pair comparable. Both the block-sized (4 KiB, the
-    // write path's unit — where the eliminated per-call setup is a large
-    // share of the work) and the merged-run-sized (16 KiB) pairs are
-    // recorded; the speedup is size-dependent and both numbers are real.
-    for (len, suffix) in [(block_len, ""), (16 * 1024, "_run16k")] {
-        let mut gen = ContentGenerator::pure(0xEDC, BlockClass::Text);
-        let blocks: Vec<Vec<u8>> =
-            (0..n_blocks).map(|_| gen.block_of(BlockClass::Text, len)).collect();
-        let total: u64 = blocks.iter().map(|b| b.len() as u64).sum();
-        for id in [CodecId::Lzf, CodecId::Lz4, CodecId::Deflate] {
-            let codec = CodecRegistry::get(id).expect("ladder codec");
-            let label = id.name().to_lowercase();
-            let pre = h
-                .run_bytes(&format!("compress_prerefactor{suffix}/{label}/text"), total, || {
-                    for b in &blocks {
-                        std::hint::black_box(baseline::compress(id, b).len());
-                    }
-                })
-                .throughput_mib_s()
-                .unwrap_or(0.0);
-            let mut state = CompressorState::new();
-            let mut out = Vec::new();
-            let live = h
-                .run_bytes(&format!("compress_refactored{suffix}/{label}/text"), total, || {
-                    for b in &blocks {
-                        codec.compress_with(&mut state, b, &mut out);
-                        std::hint::black_box(out.len());
-                    }
-                })
-                .throughput_mib_s()
-                .unwrap_or(0.0);
-            h.metric(&format!("prerefactor_compress_mib_s_{label}{suffix}"), pre);
-            h.metric(&format!("compress_mib_s_{label}{suffix}"), live);
-            let speedup = if pre > 0.0 { live / pre } else { 0.0 };
-            h.metric(&format!("compress_speedup_vs_prerefactor_{label}{suffix}"), speedup);
-            eprintln!(
-                "# {label}/{len}B: {pre:.1} -> {live:.1} MiB/s ({speedup:.2}x vs pre-refactor)"
-            );
-            if id == CodecId::Deflate && suffix.is_empty() && speedup < 2.0 {
-                h.note(&format!(
-                    "gzip hot-path speedup at the 4 KiB block size is {speedup:.2}x, short \
-                     of the 2x goal on this machine/run: with the bit-identical-stream \
-                     constraint the chain walk is unchanged algorithmically, so the gain \
-                     comes from eliminated per-call setup, word-wide extension and emit \
-                     batching only"
-                ));
-            }
         }
     }
 
@@ -168,13 +139,15 @@ pub fn run(smoke: bool, out_dir: &Path, prior: Option<&Path>) -> CmdResult {
         eprintln!("# content_hash64/{label}: {gib_s:.2} GiB/s");
     }
 
-    // Decode before/after: `--prior FILE` names the BENCH_codecs.json the
-    // same command wrote on the same host at the commit being compared
-    // against; its decode rows are recorded beside this run's.
+    // Before/after: `--prior FILE` names the BENCH_codecs.json the same
+    // command wrote on the same host with the codecs of the commit being
+    // compared against; its encode and decode rows and its ratios are
+    // recorded beside this run's.
     if let Some(prior) = prior {
-        for (case, before) in parse_report(&prior).cases {
+        let prior = parse_report(&prior);
+        for (case, before) in prior.cases {
             let Some(before) = before else { continue };
-            if !case.starts_with("decompress") {
+            if !case.starts_with("compress") && !case.starts_with("decompress") {
                 continue;
             }
             let fresh = h.results().iter().find(|r| r.name == case);
@@ -183,6 +156,11 @@ pub fn run(smoke: bool, out_dir: &Path, prior: Option<&Path>) -> CmdResult {
             h.metric(&format!("prior_{key}_mib_s"), before);
             h.metric(&format!("speedup_{key}"), if before > 0.0 { now / before } else { 0.0 });
             eprintln!("# {case}: {before:.1} -> {now:.1} MiB/s ({:.2}x vs prior)", now / before);
+        }
+        for (name, before) in prior.metrics {
+            if name.starts_with("ratio_") {
+                h.metric(&format!("prior_{name}"), before);
+            }
         }
     }
 

@@ -56,6 +56,11 @@ impl BitWriter {
         self.write_bits(byte as u64, 8);
     }
 
+    /// Number of bits written so far.
+    pub fn bit_len(&self) -> u64 {
+        self.out.len() as u64 * 8 + u64::from(self.nbits)
+    }
+
     /// Number of whole bytes that `finish` would currently produce.
     pub fn byte_len(&self) -> usize {
         self.out.len() + usize::from(self.nbits > 0)

@@ -21,7 +21,9 @@
 //! match space is lengths 3..=258 over a 32 KiB window.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::huffman::{read_lengths_into, write_lengths, Decoder, Encoder, LengthBuilder};
+use crate::huffman::{
+    read_lengths_into, write_lengths, Decoder, Encoder, LengthBuilder, MAX_CODE_LEN,
+};
 use crate::state::{
     common_prefix_len, with_decode_scratch, with_thread_state, CompressorState, Output, StampTable,
 };
@@ -131,22 +133,37 @@ fn dist_code(dist: usize) -> (usize, u64, u8) {
     (idx, (dist - usize::from(base)) as u64, extra)
 }
 
-/// One LZ77 token prior to entropy coding.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Token {
-    Literal(u8),
-    Match { len: u16, dist: u16 },
-}
+/// One LZ77 token prior to entropy coding, packed into a word. A literal
+/// is its byte value. A match has [`TOKEN_MATCH`] set over the four
+/// fields the emit pass needs, worked out once when the match is found:
+///
+/// ```text
+/// bits  0..13  distance extra value      bits 18..23  length extra value
+/// bits 13..18  distance symbol (0..=29)  bits 23..28  length symbol - 257
+/// ```
+type Token = u32;
+const TOKEN_MATCH: Token = 1 << 31;
+const TOKEN_DIST_SYM_SHIFT: u32 = 13;
+const TOKEN_LEN_EXTRA_SHIFT: u32 = 18;
+const TOKEN_LEN_SYM_SHIFT: u32 = 23;
+/// Every token field but the distance extra value is five bits wide.
+const TOKEN_FIELD_MASK: u32 = 31;
 
-/// Match-finder effort parameters, derived from a compression level.
+/// Match-finder effort parameters, derived from a compression level. The
+/// names in brackets are zlib's for the same knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Effort {
     /// Chain probes per position; the knob that buys ratio with CPU time.
-    max_chain: usize,
-    /// Stop searching once a match at least this long is found.
+    max_chain: u32,
+    /// Stop searching once a match at least this long is found
+    /// (`nice_length`).
+    nice_len: usize,
+    /// Look for a longer match one position on only while the match in
+    /// hand is shorter than this; 0 is greedy matching (`max_lazy`).
+    lazy_below: usize,
+    /// A match in hand at least this long quarters the chain of that
+    /// second search (`good_length`).
     good_len: usize,
-    /// One-step lazy matching (defer if the next position matches longer).
-    lazy: bool,
 }
 
 /// Gzip-class codec. See the [module docs](self) for format details.
@@ -169,7 +186,7 @@ impl Default for Deflate {
 impl Deflate {
     /// Default level (6): the zlib-like balance used by the EDC ladder.
     pub const fn new() -> Self {
-        Deflate { effort: Effort { max_chain: 64, good_len: 96, lazy: true } }
+        Self::with_level(6)
     }
 
     /// Create the codec at an explicit compression level.
@@ -177,25 +194,34 @@ impl Deflate {
     /// # Panics
     /// Panics unless `1 <= level <= 9`.
     pub const fn with_level(level: u8) -> Self {
-        let effort = match level {
-            1 => Effort { max_chain: 4, good_len: 8, lazy: false },
-            2 => Effort { max_chain: 8, good_len: 16, lazy: false },
-            3 => Effort { max_chain: 16, good_len: 24, lazy: false },
-            4 => Effort { max_chain: 24, good_len: 32, lazy: true },
-            5 => Effort { max_chain: 40, good_len: 64, lazy: true },
-            6 => Effort { max_chain: 64, good_len: 96, lazy: true },
-            7 => Effort { max_chain: 96, good_len: 128, lazy: true },
-            8 => Effort { max_chain: 160, good_len: 192, lazy: true },
-            9 => Effort { max_chain: 256, good_len: MAX_MATCH, lazy: true },
+        let (max_chain, nice_len, lazy_below, good_len) = match level {
+            1 => (4, 8, 0, 0),
+            2 => (8, 16, 0, 0),
+            3 => (16, 24, 0, 0),
+            4 => (24, 32, 8, 4),
+            5 => (40, 64, 16, 8),
+            6 => (64, 96, 16, 8),
+            7 => (96, 128, 32, 8),
+            8 => (160, 192, 128, 32),
+            9 => (256, MAX_MATCH, MAX_MATCH, 32),
             _ => panic!("deflate level must be 1..=9"),
         };
-        Deflate { effort }
+        Deflate { effort: Effort { max_chain, nice_len, lazy_below, good_len } }
     }
 }
 
+/// Bytes hashed per chain head. Four, not the format's three-byte minimum
+/// match: a chain then holds positions that really share four bytes, so
+/// `max_chain` probes visit that many true candidates instead of mostly
+/// three-byte collisions - a third faster, at a better ratio on text and
+/// code. Three-byte matches are not looked for; inputs whose best matches
+/// are that short (4-symbol noise, packed counters) pay 1-9 % in size
+/// (DESIGN.md §9).
+const HASH_LEN: usize = 4;
+
 #[inline]
-fn hash3(data: &[u8], i: usize) -> usize {
-    let v = u32::from(data[i]) | u32::from(data[i + 1]) << 8 | u32::from(data[i + 2]) << 16;
+fn hash4(data: &[u8], i: usize) -> usize {
+    let v = u32::from_le_bytes(data[i..i + HASH_LEN].try_into().expect("4-byte slice"));
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
@@ -207,7 +233,7 @@ const NIL: u32 = u32::MAX;
 /// scratch and both encoder tables (rebuilt in place per block).
 pub(crate) struct DeflateScratch {
     /// Chain heads per hash bucket, epoch-stamped so previous inputs'
-    /// entries read as empty without clearing 128 KiB per call.
+    /// entries read as empty without clearing 256 KiB per call.
     head: StampTable,
     /// Previous position in the chain, indexed by `pos & (WINDOW_SIZE-1)`.
     /// Never cleared between inputs: chains are only entered through
@@ -215,6 +241,7 @@ pub(crate) struct DeflateScratch {
     /// positions of the *current* input, so stale values are unreachable.
     prev: Vec<u32>,
     tokens: Vec<Token>,
+    /// Symbol counts of `tokens`, kept as the tokens are pushed.
     lit_freq: [u64; NUM_LITLEN],
     dist_freq: [u64; NUM_DIST],
     lit_lens: Vec<u8>,
@@ -251,6 +278,89 @@ impl DeflateScratch {
             + self.dist_enc.capacity()
             + self.builder.capacity()
     }
+
+    /// Start the Huffman block for the tokens just produced: build both
+    /// codes from the counts, write the block flag and the two code-length
+    /// headers into `w`, and return the exact length in bits the block
+    /// will have once [`DeflateScratch::emit_tokens`] has run - header
+    /// bits as written plus `freq * (code length + extra bits)` over both
+    /// alphabets - so the caller can choose a raw block before a single
+    /// token is emitted.
+    fn begin_block(&mut self, w: &mut BitWriter) -> u64 {
+        self.builder.build_into(&self.lit_freq, &mut self.lit_lens);
+        self.builder.build_into(&self.dist_freq, &mut self.dist_lens);
+        w.write_bits(0, 1);
+        write_lengths(w, &self.lit_lens);
+        write_lengths(w, &self.dist_lens);
+        let mut bits = w.bit_len();
+        for (&freq, &len) in self.lit_freq.iter().zip(&self.lit_lens) {
+            bits += freq * u64::from(len);
+        }
+        for (&freq, &(_, extra)) in self.lit_freq[EOB + 1..].iter().zip(&LEN_TABLE) {
+            bits += freq * u64::from(extra);
+        }
+        for (sym, &freq) in self.dist_freq.iter().enumerate() {
+            bits += freq * u64::from(self.dist_lens[sym] + DIST_TABLE[sym].1);
+        }
+        bits
+    }
+
+    /// Entropy-code the tokens and the end-of-block symbol into `w`.
+    ///
+    /// A match goes out as one write of at most 15 + 5 + 15 + 13 = 48
+    /// bits, assembled from two 32-entry tables that hold each length and
+    /// distance symbol's code, code length and extra-bit count; literal
+    /// codes are gathered three to a write.
+    fn emit_tokens(&mut self, w: &mut BitWriter) {
+        const CODE_BITS: u32 = 16;
+        const CODE_MASK: u32 = (1 << CODE_BITS) - 1;
+        const LEN_MASK: u32 = 15;
+        const EXTRA_SHIFT: u32 = CODE_BITS + 4;
+        self.lit_enc.rebuild(&self.lit_lens);
+        self.dist_enc.rebuild(&self.dist_lens);
+        // code | code length << 16 | extra-bit count << 20, per symbol.
+        let mut len_tab = [0u32; 32];
+        for (sym, &(_, extra)) in LEN_TABLE.iter().enumerate() {
+            let (code, len) = self.lit_enc.code(EOB + 1 + sym);
+            len_tab[sym] = code | len << CODE_BITS | u32::from(extra) << EXTRA_SHIFT;
+        }
+        let mut dist_tab = [0u32; 32];
+        for (sym, &(_, extra)) in DIST_TABLE.iter().enumerate() {
+            let (code, len) = self.dist_enc.code(sym);
+            dist_tab[sym] = code | len << CODE_BITS | u32::from(extra) << EXTRA_SHIFT;
+        }
+        // Literal codes waiting to be written: three fit one write.
+        let (mut acc, mut nbits) = (0u64, 0u32);
+        for &token in &self.tokens {
+            if token & TOKEN_MATCH == 0 {
+                let (code, len) = self.lit_enc.code(token as usize);
+                acc |= u64::from(code) << nbits;
+                nbits += len;
+                if nbits > 57 - MAX_CODE_LEN {
+                    w.write_bits(acc, nbits);
+                    (acc, nbits) = (0, 0);
+                }
+                continue;
+            }
+            if nbits > 0 {
+                w.write_bits(acc, nbits);
+            }
+            let l = len_tab[(token >> TOKEN_LEN_SYM_SHIFT & TOKEN_FIELD_MASK) as usize];
+            let d = dist_tab[(token >> TOKEN_DIST_SYM_SHIFT & TOKEN_FIELD_MASK) as usize];
+            acc = u64::from(l & CODE_MASK);
+            nbits = l >> CODE_BITS & LEN_MASK;
+            acc |= u64::from(token >> TOKEN_LEN_EXTRA_SHIFT & TOKEN_FIELD_MASK) << nbits;
+            nbits += l >> EXTRA_SHIFT;
+            acc |= u64::from(d & CODE_MASK) << nbits;
+            nbits += d >> CODE_BITS & LEN_MASK;
+            acc |= u64::from(token & ((1 << TOKEN_DIST_SYM_SHIFT) - 1)) << nbits;
+            nbits += d >> EXTRA_SHIFT;
+            w.write_bits(acc, nbits);
+            (acc, nbits) = (0, 0);
+        }
+        let (code, len) = self.lit_enc.code(EOB);
+        w.write_bits(acc | u64::from(code) << nbits, nbits + len);
+    }
 }
 
 /// Hash-chain match finder over a 32 KiB sliding window, borrowing its
@@ -260,60 +370,57 @@ struct ChainMatcher<'a> {
     /// Fixed-size array reference so the `& (WINDOW_SIZE - 1)` mask
     /// provably stays in bounds — no per-probe bounds check in the walk.
     prev: &'a mut [u32; WINDOW_SIZE],
-    effort: Effort,
+    nice_len: usize,
 }
 
 impl ChainMatcher<'_> {
+    /// Push position `i` onto the chain of its four bytes and return the
+    /// chain's previous head (or [`NIL`]): the first candidate for a match
+    /// at `i`, from a single access to the head slot.
+    ///
+    /// Inserting before searching is safe even for the one candidate that
+    /// shares `i`'s `prev` slot, `i - WINDOW_SIZE`: it is the farthest
+    /// position a match may start at, the walk probes it before following
+    /// its (now overwritten) link, and that link fails the walk's
+    /// monotonicity guard.
     #[inline]
-    fn insert(&mut self, data: &[u8], i: usize) {
-        self.insert_hashed(hash3(data, i), i);
-    }
-
-    /// [`ChainMatcher::insert`] with the hash already computed — the
-    /// tokenizer hashes each position once and shares the value between
-    /// the lookup and the chain push (a fused single slot access).
-    #[inline]
-    fn insert_hashed(&mut self, h: usize, i: usize) {
-        self.prev[i & (WINDOW_SIZE - 1)] = match self.head.replace(h, i) {
+    fn insert(&mut self, data: &[u8], i: usize) -> u32 {
+        let before = match self.head.replace(hash4(data, i), i) {
             Some(p) => p as u32,
             None => NIL,
         };
+        self.prev[i & (WINDOW_SIZE - 1)] = before;
+        before
     }
 
     /// Best `(len, dist)` match for position `i` that is strictly longer
-    /// than `floor`, or `None`. `h` must be `hash3(data, i)`.
+    /// than `floor >= 1`, or `None`, walking at most `chain` candidates
+    /// from `cand` (what [`ChainMatcher::insert`] returned for `i`).
     ///
     /// `floor` makes the lazy second search cheap: the caller only cares
     /// about a match longer than the one it already holds, so candidates
-    /// at or below that length fail the one-byte pre-check and never pay
-    /// a full prefix scan. Recording is strictly-greater-only, so the
-    /// returned match is identical to a `floor = 0` walk filtered by the
-    /// caller — just without the wasted scans.
-    fn find_hashed(
+    /// at or below that length fail the two-byte pre-check and never pay
+    /// a full prefix scan.
+    fn find(
         &self,
-        h: usize,
+        mut cand: u32,
         data: &[u8],
         i: usize,
         max_len: usize,
         floor: usize,
+        mut chain: u32,
     ) -> Option<(usize, usize)> {
-        let mut best_len = floor.max(MIN_MATCH - 1);
+        let mut best_len = floor;
         if best_len >= max_len {
             return None; // nothing longer than the floor can fit
         }
-        let mut cand = match self.head.get(h) {
-            Some(c) => c as u32,
-            None => NIL,
-        };
         let mut best_dist = 0usize;
-        let mut chain = self.effort.max_chain;
         // The byte pair a candidate must match at offsets `best_len - 1`
         // and `best_len` to possibly beat the best (zlib's
         // `scan_end1`/`scan_end` trick, fused into one 16-bit compare);
-        // re-read only when the best improves. In bounds: `best_len <
-        // max_len <= data.len() - i` throughout (the good_len break below
-        // fires before `best_len` can reach `max_len`), and `best_len >=
-        // MIN_MATCH - 1 >= 1`.
+        // re-read only when the best improves. In bounds: `1 <= best_len <
+        // max_len <= data.len() - i` throughout (the nice_len break below
+        // fires before `best_len` can reach `max_len`).
         let pair_at = |p: usize| -> u16 {
             u16::from_le_bytes(data[p - 1..=p].try_into().expect("2-byte slice"))
         };
@@ -332,7 +439,7 @@ impl ChainMatcher<'_> {
                 if len > best_len {
                     best_len = len;
                     best_dist = i - c;
-                    if len >= self.effort.good_len.min(max_len) {
+                    if len >= self.nice_len.min(max_len) {
                         break;
                     }
                     wanted = pair_at(i + best_len);
@@ -350,68 +457,126 @@ impl ChainMatcher<'_> {
     }
 }
 
-/// Tokenize into `scratch.tokens` with one-step lazy matching (defer a
-/// match if the next position has a strictly longer one), as zlib does at
-/// its higher levels.
+/// Where the tokenizer puts its tokens: the buffer and the symbol counts
+/// of what is in it, kept in step so no second walk has to count.
+struct TokenSink<'a> {
+    tokens: &'a mut Vec<Token>,
+    lit_freq: &'a mut [u64; NUM_LITLEN],
+    dist_freq: &'a mut [u64; NUM_DIST],
+}
+
+impl TokenSink<'_> {
+    #[inline]
+    fn literals(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.tokens.push(Token::from(b));
+            self.lit_freq[usize::from(b)] += 1;
+        }
+    }
+
+    #[inline]
+    fn matched(&mut self, len: usize, dist: usize) {
+        let (len_sym, len_extra, _) = length_code(len);
+        let (dist_sym, dist_extra, _) = dist_code(dist);
+        self.tokens.push(
+            TOKEN_MATCH
+                | ((len_sym - (EOB + 1)) as Token) << TOKEN_LEN_SYM_SHIFT
+                | (len_extra as Token) << TOKEN_LEN_EXTRA_SHIFT
+                | (dist_sym as Token) << TOKEN_DIST_SYM_SHIFT
+                | dist_extra as Token,
+        );
+        self.lit_freq[len_sym] += 1;
+        self.dist_freq[dist_sym] += 1;
+    }
+}
+
+/// Tokenize `input` into `scratch.tokens`, counting symbols into
+/// `scratch.lit_freq`/`dist_freq` (end-of-block included) as it goes.
+///
+/// Matching is zlib's lazy scheme: a match shorter than `lazy_below` is
+/// held while the next position is searched for a strictly longer one -
+/// with a quarter of the chain once the held match reaches `good_len` -
+/// and gives way to it as a literal. Positions that find nothing count a
+/// miss streak; every 32 misses the tokenizer steps one byte further
+/// between searches (LZ4's acceleration), so an incompressible stretch
+/// inside a mixed run costs a fraction of a chain walk per byte, and the
+/// first match resets the stride. Skipped bytes are not entered into the
+/// chains.
 fn tokenize_into(input: &[u8], effort: Effort, scratch: &mut DeflateScratch) {
     let n = input.len();
-    scratch.tokens.clear();
-    scratch.tokens.reserve(n / 3 + 8);
-    if n < MIN_MATCH {
-        scratch.tokens.extend(input.iter().map(|&b| Token::Literal(b)));
+    let DeflateScratch { head, prev, tokens, lit_freq, dist_freq, .. } = scratch;
+    lit_freq.fill(0);
+    dist_freq.fill(0);
+    lit_freq[EOB] = 1;
+    tokens.clear();
+    // The worst case is all literals, which the stride makes cheap to
+    // reach: reserving it up front keeps the first incompressible run on
+    // a warm state from growing the buffer mid-loop.
+    tokens.reserve(n);
+    let mut sink = TokenSink { tokens, lit_freq, dist_freq };
+    if n < HASH_LEN {
+        sink.literals(input);
         return;
     }
-    scratch.head.begin(1 << HASH_BITS);
-    if scratch.prev.len() != WINDOW_SIZE {
-        scratch.prev.clear();
-        scratch.prev.resize(WINDOW_SIZE, NIL);
+    head.begin(1 << HASH_BITS);
+    if prev.len() != WINDOW_SIZE {
+        prev.clear();
+        prev.resize(WINDOW_SIZE, NIL);
     }
-    let tokens = &mut scratch.tokens;
     let prev: &mut [u32; WINDOW_SIZE] =
-        (&mut scratch.prev[..]).try_into().expect("prev sized to the window");
-    let mut m = ChainMatcher { head: &mut scratch.head, prev, effort };
-    let limit = n - MIN_MATCH; // last position where hash3 is valid
+        (&mut prev[..]).try_into().expect("prev sized to the window");
+    let mut m = ChainMatcher { head, prev, nice_len: effort.nice_len };
+    let limit = n - HASH_LEN; // last position where hash4 is valid
+    let max_len = |i: usize| (n - i).min(MAX_MATCH);
+    let mut misses = 0usize;
     let mut i = 0usize;
-    while i < n {
-        if i > limit {
-            tokens.push(Token::Literal(input[i]));
-            i += 1;
-            continue;
-        }
-        let h = hash3(input, i);
-        let here = m.find_hashed(h, input, i, (n - i).min(MAX_MATCH), 0);
-        m.insert_hashed(h, i);
-        let Some((mut len, mut dist)) = here else {
-            tokens.push(Token::Literal(input[i]));
-            i += 1;
+    while i <= limit {
+        let cand = m.insert(input, i);
+        let Some((mut len, mut dist)) =
+            m.find(cand, input, i, max_len(i), MIN_MATCH, effort.max_chain)
+        else {
+            misses += 1;
+            let next = (i + 1 + (misses >> 5)).min(n);
+            sink.literals(&input[i..next]);
+            i = next;
             continue;
         };
-        // Lazy step: would starting at i+1 give a longer match? The
-        // current length is the floor — only a strictly longer match
-        // defers, so shorter candidates are pre-filtered inside the walk.
-        if effort.lazy && len < effort.good_len && i < limit {
-            let h2 = hash3(input, i + 1);
-            if let Some((nlen, ndist)) =
-                m.find_hashed(h2, input, i + 1, (n - i - 1).min(MAX_MATCH), len)
-            {
-                debug_assert!(nlen > len, "floored search returned a non-improving match");
-                tokens.push(Token::Literal(input[i]));
-                m.insert_hashed(h2, i + 1);
+        misses = 0;
+        // Positions up to `inserted` are in the chains already.
+        let mut inserted = i;
+        if len < effort.lazy_below && i < limit {
+            let chain = effort.max_chain >> if len >= effort.good_len { 2 } else { 0 };
+            let cand = m.insert(input, i + 1);
+            inserted = i + 1;
+            if let Some(longer) = m.find(cand, input, i + 1, max_len(i + 1), len, chain) {
+                sink.literals(&input[i..=i]);
                 i += 1;
-                len = nlen;
-                dist = ndist;
+                (len, dist) = longer;
             }
         }
-        tokens.push(Token::Match { len: len as u16, dist: dist as u16 });
-        // Insert positions covered by the match into the dictionary.
+        sink.matched(len, dist);
+        // Enter the positions the match covers into the dictionary.
         let match_end = i + len;
-        let insert_to = match_end.min(limit + 1);
-        let mut j = i + 1;
-        while j < insert_to {
+        for j in inserted + 1..match_end.min(limit + 1) {
             m.insert(input, j);
-            j += 1;
         }
         i = match_end;
+    }
+    sink.literals(&input[i..]);
+}
+
+/// The raw block: the flag bit, then the input verbatim, seven bytes to a
+/// write.
+fn write_raw(w: &mut BitWriter, input: &[u8]) {
+    w.write_bits(1, 1);
+    let mut chunks = input.chunks_exact(7);
+    for chunk in &mut chunks {
+        let mut word = [0u8; 8];
+        word[..7].copy_from_slice(chunk);
+        w.write_bits(u64::from_le_bytes(word), 56);
+    }
+    for &b in chunks.remainder() {
+        w.write_byte(b);
     }
 }
 
@@ -434,65 +599,20 @@ impl Codec for Deflate {
         let cap0 = state.deflate.capacity_signature();
         let st = &mut state.deflate;
         tokenize_into(input, self.effort, st);
-
-        // Count symbol frequencies.
-        st.lit_freq.fill(0);
-        st.dist_freq.fill(0);
-        for t in &st.tokens {
-            match *t {
-                Token::Literal(b) => st.lit_freq[b as usize] += 1,
-                Token::Match { len, dist } => {
-                    st.lit_freq[length_code(len as usize).0] += 1;
-                    st.dist_freq[dist_code(dist as usize).0] += 1;
-                }
-            }
-        }
-        st.lit_freq[EOB] += 1;
-
-        // Huffman setup, all in reused scratch: tree construction keeps
-        // its heap/parent arrays, encoders rebuild their tables in place.
-        st.builder.build_into(&st.lit_freq, &mut st.lit_lens);
-        st.builder.build_into(&st.dist_freq, &mut st.dist_lens);
-        st.lit_enc.rebuild(&st.lit_lens);
-        st.dist_enc.rebuild(&st.dist_lens);
-
         // The caller's buffer backs the bit stream directly.
         let mut w = BitWriter::with_buffer(std::mem::take(out));
-        w.write_bits(0, 1); // Huffman block
-        write_lengths(&mut w, &st.lit_lens);
-        write_lengths(&mut w, &st.dist_lens);
-        for t in &st.tokens {
-            match *t {
-                Token::Literal(b) => st.lit_enc.write(&mut w, b as usize),
-                Token::Match { len, dist } => {
-                    let (lc, lextra, lbits) = length_code(len as usize);
-                    st.lit_enc.write(&mut w, lc);
-                    if lbits > 0 {
-                        w.write_bits(lextra, u32::from(lbits));
-                    }
-                    let (dc, dextra, dbits) = dist_code(dist as usize);
-                    st.dist_enc.write(&mut w, dc);
-                    if dbits > 0 {
-                        w.write_bits(dextra, u32::from(dbits));
-                    }
-                }
-            }
-        }
-        st.lit_enc.write(&mut w, EOB);
-        let encoded = w.finish();
-
-        if encoded.len() > input.len() + 1 {
-            // Raw fallback: 1-bit flag + verbatim bytes, reusing the
-            // same backing buffer (`with_buffer` clears it).
-            let mut w = BitWriter::with_buffer(encoded);
-            w.write_bits(1, 1);
-            for &b in input {
-                w.write_byte(b);
-            }
-            *out = w.finish();
+        let huffman_bits = st.begin_block(&mut w);
+        // A raw block is the flag bit and the input, one byte more than
+        // the input. It wins ties: the same bytes stored, decoded three
+        // times faster.
+        if huffman_bits.div_ceil(8) > input.len() as u64 {
+            w = BitWriter::with_buffer(w.finish());
+            write_raw(&mut w, input);
         } else {
-            *out = encoded;
+            st.emit_tokens(&mut w);
+            debug_assert_eq!(w.bit_len(), huffman_bits, "block size predicted wrongly");
         }
+        *out = w.finish();
         if state.deflate.capacity_signature() != cap0 {
             state.alloc_events += 1;
         }
@@ -662,6 +782,9 @@ fn inflate_tokens(
         out.copy_match(dist, len)?;
     }
 }
+
+#[cfg(test)]
+mod encoder_tests;
 
 #[cfg(test)]
 mod tests {

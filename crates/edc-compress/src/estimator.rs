@@ -18,8 +18,16 @@
 //! in the paper — the same quantum EDC's allocator uses) are stored
 //! uncompressed.
 
+use std::cell::RefCell;
+
 use crate::{Codec, Lzf};
 
+std::thread_local! {
+    /// The gathered sample and the probe's output, kept per thread so an
+    /// estimate allocates nothing once both are warm: the estimator runs
+    /// once per sealed run, and most runs are one or two blocks.
+    static SCRATCH: RefCell<(Vec<u8>, Vec<u8>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
 
 /// Compressibility class, aligned with EDC's quantized allocation sizes
 /// (paper Fig. 5: compressed blocks get 25 %, 50 % or 75 % of the original
@@ -175,10 +183,12 @@ impl Estimator {
                 class: CompressibilityClass::Incompressible,
             };
         }
-        let mut sample = Vec::with_capacity(self.config.sample_len);
-        self.sample_into(block, &mut sample);
-        let entropy = Self::entropy_fraction(&sample);
-        let lz = self.probe.compress(&sample).len() as f64 / sample.len() as f64;
+        let (entropy, lz) = SCRATCH.with(|cell| {
+            let (sample, probed) = &mut *cell.borrow_mut();
+            self.sample_into(block, sample);
+            self.probe.compress_into(sample, probed);
+            (Self::entropy_fraction(sample), probed.len() as f64 / sample.len() as f64)
+        });
         let fraction = entropy.min(lz).clamp(0.0, 2.0);
         CompressibilityEstimate {
             fraction,

@@ -194,6 +194,13 @@ impl Encoder {
         w.write_bits(self.codes[symbol] as u64, u32::from(len));
     }
 
+    /// `symbol`'s code, ready for LSB-first output, and its length in
+    /// bits, for callers that assemble several codes into one write.
+    #[inline]
+    pub(crate) fn code(&self, symbol: usize) -> (u32, u32) {
+        (self.codes[symbol], u32::from(self.lens[symbol]))
+    }
+
     /// Code length of `symbol` in bits (0 = symbol unused).
     #[inline]
     pub fn len(&self, symbol: usize) -> u8 {

@@ -142,13 +142,6 @@ impl StampTable {
         }
     }
 
-    /// Position stored at `h`, if it was written during the current input.
-    #[inline]
-    pub(crate) fn get(&self, h: usize) -> Option<usize> {
-        let s = self.slots[h];
-        ((s >> 32) as u32 == self.epoch).then_some(s as u32 as usize)
-    }
-
     /// Record `pos` at `h` for the current input.
     #[inline]
     pub(crate) fn set(&mut self, h: usize, pos: usize) {
@@ -156,10 +149,9 @@ impl StampTable {
         self.slots[h] = (u64::from(self.epoch) << 32) | pos as u64;
     }
 
-    /// Record `pos` at `h` and return what the slot held — a fused
-    /// [`StampTable::get`] + [`StampTable::set`] with a single slot
-    /// access. This runs once per input byte in the LZ hot loops, where
-    /// the separate read-then-write pair showed up as two table touches.
+    /// Record `pos` at `h` and return the position the slot held, if it
+    /// was written during the current input: the lookup and the update of
+    /// the LZ hot loops, once per input byte, from a single slot access.
     #[inline]
     pub(crate) fn replace(&mut self, h: usize, pos: usize) -> Option<usize> {
         debug_assert!(pos <= u32::MAX as usize, "input exceeds 4 GiB");
@@ -479,13 +471,13 @@ mod tests {
     fn stamp_table_reads_as_empty_after_begin() {
         let mut t = StampTable::new();
         t.begin(16);
-        assert_eq!(t.get(3), None);
-        t.set(3, 77);
-        assert_eq!(t.get(3), Some(77));
+        assert_eq!(t.replace(3, 77), None);
+        t.set(3, 78);
+        assert_eq!(t.replace(3, 79), Some(78));
         t.begin(16);
-        assert_eq!(t.get(3), None, "entries from the previous input must be invisible");
+        assert_eq!(t.replace(3, 80), None, "entries from the previous input must be invisible");
         t.begin(8); // resize also invalidates
-        assert_eq!(t.get(3), None);
+        assert_eq!(t.replace(3, 81), None);
     }
 
     #[test]
