@@ -21,7 +21,6 @@ pub fn record() -> Recorder {
         capacity_bytes: 16 << 20,
         shards: 2,
         extent_blocks: 8,
-        workers: 2,
         cache_runs: 16,
         parity: true,
         dedup: true,

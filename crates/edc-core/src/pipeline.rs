@@ -10,19 +10,21 @@
 //! via the mapping table, decompress according to the 3-bit tag, and
 //! return the original bytes.
 //!
-//! # Batched multi-core writes
+//! # One write path
 //!
-//! The write path is *batched*: each flush trigger **seals** a run —
-//! capturing the codec decision (hint, sampling estimate, intensity
-//! ladder) at that instant, exactly as the serial path would — and queues
-//! it. [`EdcPipeline::write_batch`] / [`EdcPipeline::flush_all`] then
-//! **drain** the queue: all sealed runs are compressed at once, fanned
-//! across `PipelineConfig::workers` threads into per-run reusable scratch
-//! buffers ([`edc_compress::Codec::compress_into`], so the steady state
-//! allocates nothing per run), and the results are applied — allocation,
-//! device write, mapping update — serially in seal order. Compression is
-//! a pure function, so the batched store is bit-identical to the serial
-//! one; only the wall-clock differs.
+//! A run is stored when it seals. Every flush trigger — a non-contiguous
+//! write, a full run, a read (paper §III-E), an explicit
+//! [`EdcPipeline::flush_all`] — hands the sequentiality detector's merged
+//! run to one routine that takes the codec decision (hint, sampling
+//! estimate, intensity ladder) against the monitor state of that instant,
+//! compresses into the pipeline's one reusable scratch buffer with its
+//! one pooled [`CompressorState`]
+//! ([`edc_compress::Codec::compress_with`], so the steady state allocates
+//! nothing per run), and commits: slot allocation, payload pages, journal
+//! record, mapping update. [`EdcPipeline::write_batch`] accepts many
+//! writes in one call; a batch amortises the shard lock and the call
+//! overhead, not compression — its results and its stored bytes are
+//! exactly those of issuing the same writes one call each.
 //!
 //! Reads consult a decompressed-run LRU ([`crate::cache::RunCache`])
 //! keyed by the run's device offset; overwrites invalidate it. A hit
@@ -52,11 +54,11 @@
 //! let mut store = EdcPipeline::new(1 << 20, PipelineConfig::default());
 //! let block = vec![b'x'; 4096];
 //! store.write(0, 0, &block)?;
-//! store.flush(1_000_000)?; // or let the next read/non-contiguous write flush
+//! store.flush_all(1_000_000)?; // or let the next read/non-contiguous write flush
 //! assert_eq!(store.read(2_000_000, 0, 4096)?, block);
 //!
-//! // Batched: hand over many writes at once; sealed runs compress in
-//! // parallel and the results come back in seal order.
+//! // Batched: hand over many writes at once; each run is stored as it
+//! // seals and the results come back in seal order.
 //! let batch: Vec<BatchWrite<'_>> = (0..4)
 //!     .map(|i| BatchWrite { now_ns: 3_000_000 + i, offset: (8 + 3 * i) * 4096, data: &block })
 //!     .collect();
@@ -80,8 +82,8 @@ use crate::sd::{MergedRun, SdConfig, SequentialityDetector};
 use crate::selector::{codec_strength, AlgorithmSelector, SelectorConfig};
 use crate::slots::SlotStore;
 use edc_compress::{
-    checksum64, Codec, CodecId, CodecRegistry, CompressorState, DecompressError, Estimator,
-    EstimatorConfig,
+    checksum64, codec_by_id, Codec, CodecId, CodecRegistry, CompressorState, DecompressError,
+    Estimator, EstimatorConfig,
 };
 use edc_flash::{FaultError, FaultPlan, FaultState, FaultStats};
 use edc_trace::{OpType, Request};
@@ -98,9 +100,6 @@ pub struct PipelineConfig {
     pub estimator: EstimatorConfig,
     /// Allocation policy.
     pub alloc: AllocPolicy,
-    /// Worker threads compressing drained runs (1 = serial; results are
-    /// bit-identical either way).
-    pub workers: usize,
     /// Decompressed-run read-cache capacity, in runs (0 disables it).
     pub cache_runs: usize,
     /// Seeded fault-injection plan ([`FaultPlan::none`] by default).
@@ -141,7 +140,6 @@ impl Default for PipelineConfig {
             sd: SdConfig::default(),
             estimator: EstimatorConfig::default(),
             alloc: AllocPolicy::default(),
-            workers: 1,
             cache_runs: 64,
             fault: FaultPlan::none(),
             parity: false,
@@ -162,25 +160,6 @@ pub struct BatchWrite<'a> {
     pub offset: u64,
     /// Payload (whole 4 KiB blocks).
     pub data: &'a [u8],
-}
-
-/// A run whose codec decision is made but whose compression is deferred
-/// to the next drain.
-struct SealedRun {
-    run: MergedRun,
-    bytes: Vec<u8>,
-    codec: CodecId,
-}
-
-/// Where a sealed chunk's duplicate content already lives (dedup probe
-/// result, resolved and re-verified at commit time).
-#[derive(Clone, Copy)]
-enum DupTarget {
-    /// A live stored run at this device offset.
-    Existing(u64),
-    /// The identical chunk at this index of the same drain, not yet
-    /// stored at probe time; resolved through its committed offset.
-    Earlier(usize),
 }
 
 /// What happened to a flushed run.
@@ -403,21 +382,13 @@ pub struct EdcPipeline {
     device: Vec<u8>,
     /// Bytes of the run currently buffered in the SD.
     pending: Vec<u8>,
-    /// Runs sealed (codec decided) but not yet compressed/stored. Lives
-    /// only within a single public call: every entry point drains it.
-    sealed: Vec<SealedRun>,
-    /// Reusable compression output buffers, one per in-flight drain job.
-    scratch: Vec<Vec<u8>>,
-    /// Pooled per-worker codec states (hash tables, chains, Huffman
-    /// scratch). Entry `i` is owned by worker `i` for the duration of a
-    /// drain, so steady-state compression allocates nothing.
-    codec_states: Vec<CompressorState>,
+    /// Reusable compression output buffer.
+    scratch: Vec<u8>,
+    /// Pooled codec state (hash tables, chains, Huffman scratch), so
+    /// steady-state compression allocates nothing.
+    codec_state: CompressorState,
     /// Recycled decompressed-run buffers for the read path (bounded).
     read_buf_pool: Vec<Vec<u8>>,
-    /// Bumped whenever a stored run is released or replaced. A dedup
-    /// target confirmed at probe time needs no second byte-compare at
-    /// commit time if this has not moved in between.
-    run_mutations: u64,
     /// Decompressed-run LRU, keyed by device offset (unique per live run).
     cache: RunCache<Vec<u8>>,
     /// File-type semantic hints (paper §VI future work #1).
@@ -461,11 +432,9 @@ impl EdcPipeline {
             map: BlockMap::new(),
             device: vec![0; capacity_bytes as usize],
             pending: Vec::new(),
-            sealed: Vec::new(),
             scratch: Vec::new(),
-            codec_states: Vec::new(),
+            codec_state: CompressorState::new(),
             read_buf_pool: Vec::new(),
-            run_mutations: 0,
             cache: RunCache::new(config.cache_runs),
             hints: HintRegistry::new(),
             journal: MappingJournal::with_shard(config.journal_shard),
@@ -486,21 +455,21 @@ impl EdcPipeline {
     }
 
     /// Write `data` (a multiple of 4 KiB) at byte `offset` (4 KiB-aligned)
-    /// at time `now_ns`. Returns the result of any run this write flushed;
-    /// the written data itself is buffered until a flush trigger.
+    /// at time `now_ns`. Returns the results of any run this write flushed
+    /// (one per content-defined chunk with dedup on, otherwise at most
+    /// one); the written data itself is buffered until a flush trigger.
     pub fn write(
         &mut self,
         now_ns: u64,
         offset: u64,
         data: &[u8],
-    ) -> Result<Option<WriteResult>, EdcError> {
-        Ok(self.write_batch(&[BatchWrite { now_ns, offset, data }])?.pop())
+    ) -> Result<Vec<WriteResult>, EdcError> {
+        self.write_batch(&[BatchWrite { now_ns, offset, data }])
     }
 
-    /// Accept a batch of writes at once. Runs sealed during the batch are
-    /// compressed together at the end, fanned across
-    /// [`PipelineConfig::workers`] threads; results come back in seal
-    /// order and are bit-identical to issuing the same writes serially.
+    /// Accept a batch of writes at once. Each run is stored the moment a
+    /// write of the batch seals it; results come back in seal order and
+    /// are bit-identical to issuing the same writes one call each.
     ///
     /// The whole batch is validated before any write is accepted, so an
     /// alignment error leaves the store untouched.
@@ -513,10 +482,10 @@ impl EdcPipeline {
     /// it, so a caller multiplexing independent submitters over one batch
     /// (the ring front-end) can attribute each result to the submission
     /// that caused it. Dedup chunking may split one sealed run into
-    /// several results; all of them carry the sealing entry's index. Runs
-    /// sealed before the batch began are attributed to entry 0. Results
-    /// come back in seal order, exactly as [`EdcPipeline::write_batch`]
-    /// returns them.
+    /// several results; all of them carry the sealing entry's index — a
+    /// run buffered before the call belongs to the entry that seals it.
+    /// Results come back in seal order, exactly as
+    /// [`EdcPipeline::write_batch`] returns them.
     pub fn write_batch_indexed(
         &mut self,
         writes: &[BatchWrite<'_>],
@@ -530,13 +499,7 @@ impl EdcPipeline {
                 return Err(WriteError::Unaligned.into());
             }
         }
-        // One `(owner entry, run blocks)` pair per sealed run, in seal
-        // order. Dedup chunking splits runs but never reorders them, and
-        // a run's chunks partition its blocks exactly — so walking the
-        // drained results while summing block counts recovers which
-        // sealed run (hence which entry) each result came from.
-        let mut owners: Vec<(usize, u32)> =
-            self.sealed.iter().map(|s| (0usize, s.run.blocks)).collect();
+        let mut results = Vec::new();
         for (i, w) in writes.iter().enumerate() {
             let start = w.offset / BLOCK_BYTES;
             let blocks = (w.data.len() as u64 / BLOCK_BYTES) as u32;
@@ -548,30 +511,16 @@ impl EdcPipeline {
             });
             self.logical_written += w.data.len() as u64;
             self.heat.record(w.now_ns, start, u64::from(blocks));
-            if let Some(run) = self.sd.on_write(start, blocks, w.now_ns) {
-                let bytes = std::mem::take(&mut self.pending);
-                self.seal_run(w.now_ns, run, bytes);
-                owners.push((i, self.sealed.last().expect("just sealed").run.blocks));
-            }
+            // A failed store (a power cut) still leaves this write
+            // buffered, in step with the detector that just accepted it.
+            let stored = match self.sd.on_write(start, blocks, w.now_ns) {
+                Some(run) => self.store_run(w.now_ns, run, |r| results.push((i, r))),
+                None => Ok(()),
+            };
             self.pending.extend_from_slice(w.data);
+            stored?;
         }
-        let results = self.drain_sealed()?;
-        let mut indexed = Vec::with_capacity(results.len());
-        let mut runs = owners.into_iter();
-        let mut cur = runs.next();
-        let mut seen = 0u32;
-        for r in results {
-            let (owner, total) = cur.expect("more results than sealed runs");
-            seen += r.blocks;
-            indexed.push((owner, r));
-            if seen >= total {
-                debug_assert_eq!(seen, total, "chunk blocks must partition the run");
-                cur = runs.next();
-                seen = 0;
-            }
-        }
-        debug_assert!(cur.is_none(), "sealed run left without a result");
-        Ok(indexed)
+        Ok(results)
     }
 
     /// Register a file-type hint for the byte range `[offset, offset+len)`
@@ -583,21 +532,16 @@ impl EdcPipeline {
         self.hints.set(offset / BLOCK_BYTES, len / BLOCK_BYTES, hint);
     }
 
-    /// Force-flush the buffered run (timeout, shutdown).
-    pub fn flush(&mut self, now_ns: u64) -> Result<Option<WriteResult>, EdcError> {
-        Ok(self.flush_all(now_ns)?.pop())
-    }
-
-    /// Drain everything: the run buffered in the sequentiality detector
-    /// (if any) plus all sealed-but-unstored runs, compressing across the
-    /// configured workers. Returns one result per stored run, in order.
+    /// Force-flush the run buffered in the sequentiality detector, if
+    /// any (timeout, shutdown). Returns one result per stored run — one
+    /// per content-defined chunk with dedup on — in order.
     pub fn flush_all(&mut self, now_ns: u64) -> Result<Vec<WriteResult>, EdcError> {
         self.check_powered()?;
+        let mut results = Vec::new();
         if let Some(run) = self.sd.drain() {
-            let bytes = std::mem::take(&mut self.pending);
-            self.seal_run(now_ns, run, bytes);
+            self.store_run(now_ns, run, |r| results.push(r))?;
         }
-        self.drain_sealed()
+        Ok(results)
     }
 
     /// Typed guard used by every entry point: a store that lost power
@@ -635,15 +579,12 @@ impl EdcPipeline {
             len: len as u32,
         });
         // Reads break write sequentiality: flush first (paper §III-E).
-        if let Some(run) = self.sd.on_read() {
-            let bytes = std::mem::take(&mut self.pending);
-            self.seal_run(now_ns, run, bytes);
-        }
         // The only failure the read-triggered flush can hit is a power
-        // cut (codecs were validated at seal time), which leaves the
-        // store offline.
-        if self.drain_sealed().is_err() {
-            return Err(ReadError::Offline);
+        // cut, which leaves the store offline.
+        if let Some(run) = self.sd.on_read() {
+            if self.store_run(now_ns, run, |_| {}).is_err() {
+                return Err(ReadError::Offline);
+            }
         }
         let mut out = vec![0u8; len as usize];
         let start = offset / BLOCK_BYTES;
@@ -880,11 +821,23 @@ impl EdcPipeline {
         repaired
     }
 
-    /// The decision half of the pipeline: hint → estimate → select. Runs
-    /// at the moment the flush trigger fires, against the monitor state of
-    /// that instant, so the chosen codec is exactly the serial path's.
-    /// Compression itself is deferred to the drain.
-    fn seal_run(&mut self, now_ns: u64, run: MergedRun, bytes: Vec<u8>) {
+    /// The write path, run at the moment a flush trigger seals `run` (its
+    /// bytes are the pending buffer). Decide — hint → estimate → select,
+    /// against the monitor state of this instant — then store: the run
+    /// whole with dedup off; with dedup on, split at its content-defined
+    /// cut points (block granular, FastCDC-style gear hash) so identical
+    /// content sequences become identical storable units regardless of
+    /// logical position. Runs at or below the chunker's minimum pass
+    /// through unsplit, and every chunk inherits the run's codec decision,
+    /// keeping the ladder's intensity semantics intact. `emit` receives
+    /// one result per stored chunk, in order.
+    fn store_run(
+        &mut self,
+        now_ns: u64,
+        run: MergedRun,
+        mut emit: impl FnMut(WriteResult),
+    ) -> Result<(), EdcError> {
+        let mut bytes = std::mem::take(&mut self.pending);
         debug_assert_eq!(bytes.len() as u64, run.bytes(), "SD buffer out of sync");
         let hint = self.hints.lookup(run.start_block);
         // 0. A semantic hint can settle the question without sampling.
@@ -898,281 +851,140 @@ impl EdcPipeline {
             let choice = self.selector.select(self.monitor.calculated_iops(now_ns));
             hint.map_or(choice, |h| h.constrain(choice))
         };
-        self.sealed.push(SealedRun { run, bytes, codec });
+        let codec = codec_by_id(codec);
+        if self.config.dedup.enabled {
+            let bb = BLOCK_BYTES as usize;
+            let mut at = 0usize;
+            for len in chunk_blocks(&self.gear, &self.config.dedup, &bytes) {
+                let chunk = &bytes[at * bb..(at + len as usize) * bb];
+                emit(self.store_chunk(run.start_block + at as u64, chunk, codec)?);
+                at += len as usize;
+            }
+        } else {
+            emit(self.store_chunk(run.start_block, &bytes, codec)?);
+        }
+        bytes.clear();
+        self.pending = bytes;
+        Ok(())
     }
 
-    /// The storage half: resolve duplicates against the content-addressed
-    /// index (dedup on), compress every remaining sealed run (parallel
-    /// when configured), then allocate + program + journal + map serially
-    /// in seal order. Each run's payload pages are programmed against the
-    /// power-cut clock *before* its journal commit record, so a cut can
-    /// orphan a payload but never journal a run whose payload is missing.
-    fn drain_sealed(&mut self) -> Result<Vec<WriteResult>, EdcError> {
-        if self.sealed.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.config.dedup.enabled {
-            self.chunk_sealed();
-        }
-        // Codec lookups are validated before the queue is consumed, so a
-        // (theoretically) bad tag surfaces as a typed error without
-        // dropping any queued run.
-        for s in &self.sealed {
-            if s.codec != CodecId::None {
-                CodecRegistry::get(s.codec)?;
-            }
-        }
-        let sealed = std::mem::take(&mut self.sealed);
-        // Dedup probe: hash every chunk's raw bytes and resolve it to a
-        // live stored run with identical content (byte-compared before
-        // sharing — a hash collision is only ever a wasted compare) or to
-        // an identical earlier chunk of this same drain. Resolved chunks
-        // skip compression, allocation and payload programming entirely.
-        let mut dups: Vec<Option<DupTarget>> = vec![None; sealed.len()];
-        let mut hashes: Vec<u64> = vec![0u64; sealed.len()];
-        if self.config.dedup.enabled {
-            let mut batch_by_hash: HashMap<u64, usize> = HashMap::new();
-            let mut cmp = self.read_buf_pool.pop().unwrap_or_default();
-            for (i, s) in sealed.iter().enumerate() {
-                let h = content_hash64(&s.bytes, self.config.dedup.seed);
-                hashes[i] = h;
-                for &off in self.dedup.candidates(h) {
-                    let Some(t) = self.dedup.template(off) else { continue };
-                    if t.run_blocks != s.run.blocks {
-                        continue;
-                    }
-                    if self.chunk_matches_stored(t, &s.bytes, &mut cmp) {
-                        dups[i] = Some(DupTarget::Existing(off));
-                        break;
-                    }
-                }
-                if dups[i].is_none() {
-                    match batch_by_hash.get(&h) {
-                        Some(&j) if sealed[j].bytes == s.bytes => {
-                            dups[i] = Some(DupTarget::Earlier(j));
-                        }
-                        Some(_) => {}
-                        None => {
-                            batch_by_hash.insert(h, i);
-                        }
-                    }
-                }
-            }
-            self.recycle_read_buf(cmp);
-        }
-        // Every target above was byte-compared against the store as it is
-        // now; as long as no run is released or replaced before a hit
-        // commits, that compare still stands.
-        let probed_at = self.run_mutations;
-        // Phase 1: compression, the CPU-heavy pure part, fanned across
-        // workers. Each job writes into a scratch buffer recycled from
-        // previous drains, so the steady state performs no output
-        // allocations at all. Resolved duplicates never compress.
-        let n_jobs = sealed
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| s.codec != CodecId::None && dups[*i].is_none())
-            .count();
-        while self.scratch.len() < n_jobs {
-            self.scratch.push(Vec::new());
-        }
-        let mut bufs = self.scratch.split_off(self.scratch.len() - n_jobs);
-        {
-            let mut work: Vec<(&'static dyn Codec, &[u8], &mut Vec<u8>)> = sealed
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| s.codec != CodecId::None && dups[*i].is_none())
-                .map(|(_, s)| s)
-                .zip(bufs.iter_mut())
-                .filter_map(|(s, buf)| {
-                    CodecRegistry::get(s.codec).ok().map(|c| (c, s.bytes.as_slice(), buf))
-                })
-                .collect();
-            let workers = self.config.workers.max(1).min(work.len());
-            // Pooled per-worker codec states: scratch tables and Huffman
-            // buffers survive across drains, so steady-state compression
-            // performs no codec-side allocation at all.
-            while self.codec_states.len() < workers.max(1) {
-                self.codec_states.push(CompressorState::new());
-            }
-            if workers <= 1 {
-                let state = &mut self.codec_states[0];
-                for (codec, data, out) in work.iter_mut() {
-                    codec.compress_with(state, data, out);
-                }
-            } else {
-                // Contiguous chunks keep the scatter trivially
-                // order-preserving: every job owns its own output buffer
-                // and every worker owns its own codec state.
-                let per_worker = work.len().div_ceil(workers);
-                std::thread::scope(|scope| {
-                    for (part, state) in
-                        work.chunks_mut(per_worker).zip(self.codec_states.iter_mut())
-                    {
-                        scope.spawn(move || {
-                            for (codec, data, out) in part.iter_mut() {
-                                codec.compress_with(state, data, out);
-                            }
-                        });
-                    }
-                });
-            }
-        }
-        // Phase 2: allocation, device write, mapping — stateful, applied
-        // serially in seal order, which makes the whole drain equivalent
-        // to processing each run at its seal point.
-        let mut results = Vec::with_capacity(sealed.len());
-        let mut stored_at: Vec<u64> = vec![u64::MAX; sealed.len()];
-        let mut buf_idx = 0usize;
-        for (i, s) in sealed.iter().enumerate() {
-            // A resolved duplicate shares the stored run instead of
-            // writing: the slot and the refcount ledger take the new
-            // block references first, then the `Ref` commit record is
-            // journaled (new-ref-then-commit: a cut can orphan a taken
-            // reference — volatile state recovery rebuilds anyway — but
-            // never journal a reference that was not taken), then the
-            // mapping re-points. An earlier chunk of this very drain may
-            // have superseded the target, so once any run has been
-            // released or replaced since the probe the target is
-            // byte-compared again; a stale target demotes the chunk to an
-            // ordinary unique store.
-            if let Some(target) = dups[i] {
-                let off = match target {
-                    DupTarget::Existing(off) => off,
-                    DupTarget::Earlier(j) => stored_at[j],
-                };
-                let template = self.dedup.template(off).copied();
-                let usable = template.is_some_and(|t| t.run_blocks == s.run.blocks)
-                    && (self.run_mutations == probed_at || {
-                        let t = template.expect("template checked above");
-                        let mut cmp = self.read_buf_pool.pop().unwrap_or_default();
-                        let ok = self.chunk_matches_stored(&t, &s.bytes, &mut cmp);
-                        self.recycle_read_buf(cmp);
-                        ok
-                    });
-                if usable {
-                    let template = template.expect("template checked above");
-                    let o = template.device_offset as usize;
-                    let sharer = MappingEntry {
-                        run_start: s.run.start_block,
-                        run_blocks: s.run.blocks,
-                        checksum: checksum64(
-                            &self.device[o..o + template.compressed_bytes as usize],
-                            s.run.start_block,
-                        ),
-                        ..template
-                    };
-                    self.slots.add_run_refs(off, s.run.blocks);
-                    self.dedup.add_referrer(off, s.run.start_block, s.run.blocks);
-                    if let Err(e) = self.faults.program_page() {
-                        return Err(fault_to_edc(e));
-                    }
-                    self.journal.append_ref(&sharer, hashes[i]);
-                    for old in self.map.insert_run(sharer) {
-                        self.release_superseded(&old);
-                    }
-                    self.dedup_hits += 1;
-                    self.dedup_elided_bytes += s.bytes.len() as u64;
-                    stored_at[i] = off;
-                    results.push(WriteResult {
-                        start_block: s.run.start_block,
-                        blocks: s.run.blocks,
-                        tag: template.tag,
-                        payload_bytes: template.compressed_bytes,
-                        allocated_bytes: 0,
-                    });
-                    continue;
-                }
-                // Stale target: store as a fresh unique run, compressing
-                // serially on the spot (its parallel slot was skipped).
-                let comp = if s.codec == CodecId::None {
-                    None
-                } else {
-                    if self.codec_states.is_empty() {
-                        self.codec_states.push(CompressorState::new());
-                    }
-                    let mut out = self.scratch.pop().unwrap_or_default();
-                    let codec = CodecRegistry::get(s.codec)?;
-                    codec.compress_with(&mut self.codec_states[0], &s.bytes, &mut out);
-                    Some(out)
-                };
-                let (result, entry) = self.store_chunk(s, comp.as_deref())?;
-                if let Some(mut out) = comp {
-                    out.clear();
-                    self.scratch.push(out);
-                }
-                self.dedup.insert_unique(Some(hashes[i]), entry);
-                stored_at[i] = entry.device_offset;
-                results.push(result);
-                continue;
-            }
-            let comp = if s.codec == CodecId::None {
-                None
-            } else {
-                let b = &bufs[buf_idx];
-                buf_idx += 1;
-                Some(b.as_slice())
-            };
-            let (result, entry) = self.store_chunk(s, comp)?;
-            if self.config.dedup.enabled {
-                self.dedup.insert_unique(Some(hashes[i]), entry);
-            }
-            stored_at[i] = entry.device_offset;
-            results.push(result);
-        }
-        // Return the scratch buffers (capacity intact) for the next drain.
-        self.scratch.extend(bufs.into_iter().map(|mut b| {
-            b.clear();
-            b
-        }));
-        Ok(results)
-    }
-
-    /// Store one sealed chunk as a fresh unique run: quantized placement
-    /// (with the keep-raw-if-not-smaller fallback), slot allocation,
-    /// payload (+ parity) pages programmed page by page against the
-    /// power-cut clock — a cut mid-run leaves a partial payload with no
-    /// commit record, exactly what recovery expects — then the journal
-    /// commit record and the mapping update. Returns the write result
-    /// and the committed mapping entry.
+    /// Store one chunk of a sealed run (`None` = write through). With
+    /// dedup on, the content-addressed index is probed first: a live
+    /// stored run with identical content (byte-compared before sharing —
+    /// a hash collision is only ever a wasted compare) is shared instead
+    /// of written, skipping compression, allocation and payload
+    /// programming entirely. Probe and commit are adjacent, so the target
+    /// cannot change in between, and an identical earlier chunk of the
+    /// same call is simply already in the index. Anything else is
+    /// compressed, placed (quantized allocation with the
+    /// keep-raw-if-not-smaller fallback) and committed as a fresh run.
     fn store_chunk(
         &mut self,
-        s: &SealedRun,
-        comp: Option<&[u8]>,
-    ) -> Result<(WriteResult, MappingEntry), EdcError> {
-        let comp_len = comp.map_or(s.bytes.len(), <[u8]>::len) as u64;
-        // Quantized allocation (with the 75 % fallback).
+        start_block: u64,
+        raw: &[u8],
+        codec: Option<&'static dyn Codec>,
+    ) -> Result<WriteResult, EdcError> {
+        let blocks = (raw.len() as u64 / BLOCK_BYTES) as u32;
+        let mut hash = None;
+        if self.config.dedup.enabled {
+            let h = content_hash64(raw, self.config.dedup.seed);
+            let mut cmp = self.read_buf_pool.pop().unwrap_or_default();
+            let target = self.dedup.candidates(h).iter().find_map(|&off| {
+                let t = self.dedup.template(off)?;
+                (t.run_blocks == blocks && self.chunk_matches_stored(t, raw, &mut cmp))
+                    .then_some(*t)
+            });
+            self.recycle_read_buf(cmp);
+            if let Some(target) = target {
+                self.dedup.add_referrer(target.device_offset, start_block, blocks);
+                self.commit_ref(&target, start_block, h)?;
+                self.dedup_hits += 1;
+                self.dedup_elided_bytes += raw.len() as u64;
+                return Ok(WriteResult {
+                    start_block,
+                    blocks,
+                    tag: target.tag,
+                    payload_bytes: target.compressed_bytes,
+                    allocated_bytes: 0,
+                });
+            }
+            hash = Some(h);
+        }
+        let mut comp = std::mem::take(&mut self.scratch);
+        if let Some(codec) = codec {
+            codec.compress_with(&mut self.codec_state, raw, &mut comp);
+        }
+        let comp_len = if codec.is_some() { comp.len() } else { raw.len() } as u64;
         let prev = self
             .map
-            .get(s.run.start_block)
-            .filter(|e| e.run_start == s.run.start_block && e.run_blocks == s.run.blocks);
+            .get(start_block)
+            .filter(|e| e.run_start == start_block && e.run_blocks == blocks);
         let placement =
-            self.allocator.place(s.bytes.len() as u64, comp_len, prev.map(|e| e.stored_bytes));
-        let (tag, payload): (CodecId, &[u8]) = match comp {
-            Some(b) if placement.compressed => (s.codec, b),
-            _ => (CodecId::None, &s.bytes),
+            self.allocator.place(raw.len() as u64, comp_len, prev.map(|e| e.stored_bytes));
+        let (tag, payload): (CodecId, &[u8]) = match codec {
+            Some(codec) if placement.compressed => (codec.id(), &comp),
+            _ => (CodecId::None, raw),
         };
+        let stored_bytes =
+            placement.allocated_bytes + if self.config.parity { BLOCK_BYTES } else { 0 };
+        let committed = self.commit_run(tag, start_block, blocks, payload, stored_bytes, None);
+        let payload_bytes = payload.len() as u64;
+        self.scratch = comp;
+        let entry = committed?;
+        if hash.is_some() {
+            self.dedup.insert_unique(hash, entry);
+        }
+        Ok(WriteResult {
+            start_block,
+            blocks,
+            tag,
+            payload_bytes,
+            allocated_bytes: placement.allocated_bytes,
+        })
+    }
+
+    /// The one place a run becomes durable: slot allocation, payload
+    /// pages programmed page by page against the power-cut clock — a cut
+    /// mid-run leaves a partial payload with no commit record, exactly
+    /// what recovery expects — then the parity page, the journal commit
+    /// record and the mapping update. A cut can orphan a payload but
+    /// never journal a run whose payload is missing. `stored_bytes` is the
+    /// slot size, parity page included.
+    ///
+    /// `moved` makes the commit an out-of-place rewrite of a live run
+    /// (scrub repair, recompression, demotion): it carries the run's old
+    /// device offset and its referrers, which must come from
+    /// [`EdcPipeline::relocation_referrers`] or stale blocks would
+    /// resurrect. The new record supersedes the old one on replay (a cut
+    /// before it leaves the old run live), the dedup ledger state moves
+    /// to the new offset, and every sharer is re-pointed through its own
+    /// journaled `Ref` record; their superseded entries drain the old
+    /// slot's references, freeing it once the last one moves.
+    fn commit_run(
+        &mut self,
+        tag: CodecId,
+        run_start: u64,
+        run_blocks: u32,
+        payload: &[u8],
+        stored_bytes: u64,
+        moved: Option<(u64, &[(u64, u32)])>,
+    ) -> Result<MappingEntry, EdcError> {
         // The slot is referenced by every block of the run and frees only
-        // when all are superseded. With parity on, the slot grows by one
-        // page holding the XOR of the payload's zero-padded pages,
-        // programmed after the payload and before the commit record.
+        // when all are superseded. With parity on, its last page holds
+        // the XOR of the payload's zero-padded pages, programmed after
+        // the payload and before the commit record.
         let parity = self.config.parity;
-        let stored_bytes = placement.allocated_bytes + if parity { BLOCK_BYTES } else { 0 };
-        let device_offset = self.slots.alloc_run(stored_bytes, s.run.blocks);
+        let device_offset = self.slots.alloc_run(stored_bytes, run_blocks);
         let off = device_offset as usize;
         let bb = BLOCK_BYTES as usize;
         for page in 0..payload.len().div_ceil(bb).max(1) {
-            if let Err(e) = self.faults.program_page() {
-                return Err(fault_to_edc(e));
-            }
+            self.faults.program_page().map_err(fault_to_edc)?;
             let lo = page * bb;
             let hi = (lo + bb).min(payload.len());
             self.device[off + lo..off + hi].copy_from_slice(&payload[lo..hi]);
         }
         if parity {
-            if let Err(e) = self.faults.program_page() {
-                return Err(fault_to_edc(e));
-            }
+            self.faults.program_page().map_err(fault_to_edc)?;
             let page = xor_parity(payload);
             let at = off + stored_bytes as usize - bb;
             self.device[at..at + bb].copy_from_slice(&page);
@@ -1184,36 +996,64 @@ impl EdcPipeline {
         self.physical_written += stored_bytes;
         let entry = MappingEntry {
             tag,
-            run_start: s.run.start_block,
-            run_blocks: s.run.blocks,
+            run_start,
+            run_blocks,
             device_offset,
             stored_bytes,
             compressed_bytes: payload.len() as u64,
-            checksum: checksum64(payload, s.run.start_block),
+            checksum: checksum64(payload, run_start),
             parity,
         };
         // The commit point: one more page program for the journal
         // record. A cut here drops the run (payload durable but
         // unreferenced) — never the reverse.
-        if let Err(e) = self.faults.program_page() {
-            return Err(fault_to_edc(e));
-        }
+        self.faults.program_page().map_err(fault_to_edc)?;
         self.journal.append(&entry);
-        // Mapping update; release superseded runs and drop their
-        // cached decompressions — a later read must never see them.
+        // Carry the ledger state (hash, referrer counts) to the new
+        // offset before the mapping update releases the old one.
+        if let Some((old_offset, _)) = moved {
+            self.dedup.relocate(old_offset, entry);
+        }
         for old in self.map.insert_run(entry) {
             self.release_superseded(&old);
         }
-        Ok((
-            WriteResult {
-                start_block: s.run.start_block,
-                blocks: s.run.blocks,
-                tag,
-                payload_bytes: payload.len() as u64,
-                allocated_bytes: placement.allocated_bytes,
-            },
-            entry,
-        ))
+        if let Some((_, referrers)) = moved {
+            // The content hash carries over: it is a hash of the *raw*
+            // bytes, which a rewrite does not change.
+            let hash = self.dedup.content_hash(device_offset).unwrap_or(0);
+            for &(r_start, _) in referrers {
+                if r_start != run_start {
+                    self.commit_ref(&entry, r_start, hash)?;
+                }
+            }
+        }
+        Ok(entry)
+    }
+
+    /// Point the run-sized range at `run_start` at the stored run `target`
+    /// — a foreground dedup hit, or a sharer following its relocated run:
+    /// the slot takes the new block references first, then the `Ref`
+    /// commit record is journaled (new-ref-then-commit: a cut can orphan a
+    /// taken reference — volatile state recovery rebuilds anyway — but
+    /// never journal a reference that was not taken), then the mapping
+    /// re-points.
+    fn commit_ref(
+        &mut self,
+        target: &MappingEntry,
+        run_start: u64,
+        hash: u64,
+    ) -> Result<(), EdcError> {
+        let off = target.device_offset as usize;
+        let payload = &self.device[off..off + target.compressed_bytes as usize];
+        let sharer =
+            MappingEntry { run_start, checksum: checksum64(payload, run_start), ..*target };
+        self.slots.add_run_refs(target.device_offset, target.run_blocks);
+        self.faults.program_page().map_err(fault_to_edc)?;
+        self.journal.append_ref(&sharer, hash);
+        for old in self.map.insert_run(sharer) {
+            self.release_superseded(&old);
+        }
+        Ok(())
     }
 
     /// Everything that must happen when a mapping insertion supersedes an
@@ -1222,44 +1062,10 @@ impl EdcPipeline {
     /// no-op for untracked runs), and invalidate any cached decompression
     /// of the superseded run — a later read must never see it.
     fn release_superseded(&mut self, old: &MappingEntry) {
-        self.run_mutations += 1;
         self.slots.release_block_ref(old.device_offset);
         self.dedup.release_block(old.device_offset, old.run_start);
         if let Some(stale) = self.cache.invalidate(old.device_offset) {
             self.recycle_read_buf(stale);
-        }
-    }
-
-    /// Split every sealed run at its content-defined cut points (block
-    /// granular, FastCDC-style gear hash) so identical content sequences
-    /// become identical storable units regardless of logical position.
-    /// Runs at or below the chunker's minimum pass through unsplit; every
-    /// sub-chunk inherits its parent's sealed codec decision, keeping the
-    /// ladder's intensity semantics intact.
-    fn chunk_sealed(&mut self) {
-        let sealed = std::mem::take(&mut self.sealed);
-        let bb = BLOCK_BYTES as usize;
-        for s in sealed {
-            let cuts = chunk_blocks(&self.gear, &self.config.dedup, &s.bytes);
-            if cuts.len() <= 1 {
-                self.sealed.push(s);
-                continue;
-            }
-            let mut at = 0u32;
-            for len in cuts {
-                let lo = at as usize * bb;
-                let hi = lo + len as usize * bb;
-                self.sealed.push(SealedRun {
-                    run: MergedRun {
-                        start_block: s.run.start_block + u64::from(at),
-                        blocks: len,
-                        arrivals_ns: Vec::new(),
-                    },
-                    bytes: s.bytes[lo..hi].to_vec(),
-                    codec: s.codec,
-                });
-                at += len;
-            }
         }
     }
 
@@ -1304,7 +1110,6 @@ impl EdcPipeline {
         self.cache = RunCache::new(self.config.cache_runs);
         self.sd = SequentialityDetector::new(self.config.sd);
         self.pending.clear();
-        self.sealed.clear();
         // Temperature is ephemeral statistics, not durable metadata: the
         // recovered store re-learns heat (and re-cools demoted extents)
         // before the background pass touches anything.
@@ -1326,7 +1131,7 @@ impl EdcPipeline {
         let mut live: HashMap<u64, MappingEntry> = HashMap::new();
         for (seq, record) in replay.records.iter().enumerate() {
             let seq = seq as u64;
-            match record {
+            let inserted = match record {
                 JournalRecord::Put(entry) => {
                     if entry.run_blocks == 0 {
                         return Err(RecoveryError { seq, reason: "zero-length run" });
@@ -1349,12 +1154,7 @@ impl EdcPipeline {
                     self.slots.adopt_run(entry.device_offset, entry.stored_bytes, entry.run_blocks);
                     live.insert(entry.device_offset, *entry);
                     self.dedup.insert_unique(None, *entry);
-                    for old in self.map.insert_run(*entry) {
-                        self.dedup.release_block(old.device_offset, old.run_start);
-                        if self.slots.release_block_ref(old.device_offset).is_some() {
-                            live.remove(&old.device_offset);
-                        }
-                    }
+                    *entry
                 }
                 JournalRecord::Ref(r) => {
                     // A sharer's commit record: the target must still be
@@ -1381,12 +1181,13 @@ impl EdcPipeline {
                     if r.content_hash != 0 {
                         self.dedup.learn_hash(r.device_offset, r.content_hash);
                     }
-                    for old in self.map.insert_run(sharer) {
-                        self.dedup.release_block(old.device_offset, old.run_start);
-                        if self.slots.release_block_ref(old.device_offset).is_some() {
-                            live.remove(&old.device_offset);
-                        }
-                    }
+                    sharer
+                }
+            };
+            for old in self.map.insert_run(inserted) {
+                self.dedup.release_block(old.device_offset, old.run_start);
+                if self.slots.release_block_ref(old.device_offset).is_some() {
+                    live.remove(&old.device_offset);
                 }
             }
         }
@@ -1476,7 +1277,21 @@ impl EdcPipeline {
                 // superseded, in which case relocation is unsafe and the
                 // in-place repair alone has to carry the run.
                 if let Some(referrers) = self.relocation_referrers(&entry) {
-                    self.rewrite_run(&entry, &referrers)?;
+                    let off = entry.device_offset as usize;
+                    let mut payload = self.read_buf_pool.pop().unwrap_or_default();
+                    payload.extend_from_slice(
+                        &self.device[off..off + entry.compressed_bytes as usize],
+                    );
+                    let res = self.commit_run(
+                        entry.tag,
+                        entry.run_start,
+                        entry.run_blocks,
+                        &payload,
+                        entry.stored_bytes,
+                        Some((entry.device_offset, &referrers)),
+                    );
+                    self.recycle_read_buf(payload);
+                    res?;
                 }
                 report.repaired += 1;
             } else {
@@ -1525,90 +1340,6 @@ impl EdcPipeline {
         let page = xor_parity(&self.device[off..off + entry.compressed_bytes as usize]);
         let at = off + entry.stored_bytes as usize - bb;
         self.device[at..at + bb].copy_from_slice(&page);
-    }
-
-    /// Move a (just-repaired) run out-of-place: fresh slot, payload and
-    /// parity pages programmed against the power-cut clock, journal commit
-    /// record, mapping update — then every dedup sharer re-pointed at the
-    /// new slot through its own journaled `Ref` record. The superseded
-    /// slot is released and its cached decompression invalidated — a
-    /// later allocation reusing that offset must never hit stale cache.
-    ///
-    /// `referrers` must come from [`EdcPipeline::relocation_referrers`]
-    /// (every referrer fully live), or stale blocks would resurrect.
-    fn rewrite_run(
-        &mut self,
-        old: &MappingEntry,
-        referrers: &[(u64, u32)],
-    ) -> Result<(), EdcError> {
-        let bb = BLOCK_BYTES as usize;
-        let off = old.device_offset as usize;
-        let payload: Vec<u8> = self.device[off..off + old.compressed_bytes as usize].to_vec();
-        let device_offset = self.slots.alloc_run(old.stored_bytes, old.run_blocks);
-        let noff = device_offset as usize;
-        for page in 0..payload.len().div_ceil(bb).max(1) {
-            if let Err(e) = self.faults.program_page() {
-                return Err(fault_to_edc(e));
-            }
-            let lo = page * bb;
-            let hi = (lo + bb).min(payload.len());
-            self.device[noff + lo..noff + hi].copy_from_slice(&payload[lo..hi]);
-        }
-        if old.parity {
-            if let Err(e) = self.faults.program_page() {
-                return Err(fault_to_edc(e));
-            }
-            let page = xor_parity(&payload);
-            let at = noff + old.stored_bytes as usize - bb;
-            self.device[at..at + bb].copy_from_slice(&page);
-        }
-        self.physical_written += old.stored_bytes;
-        let entry = MappingEntry { device_offset, ..*old };
-        if let Err(e) = self.faults.program_page() {
-            return Err(fault_to_edc(e));
-        }
-        self.journal.append(&entry);
-        // Carry the ledger state (hash, referrer counts) to the new
-        // offset before the mapping updates release the old one.
-        self.dedup.relocate(old.device_offset, entry);
-        for evicted in self.map.insert_run(entry) {
-            self.release_superseded(&evicted);
-        }
-        self.repoint_sharers(old, &entry, &payload, referrers)
-    }
-
-    /// Re-point every dedup sharer of a just-relocated run at its new
-    /// slot, exactly like a foreground dedup hit: slot references first,
-    /// then the journaled `Ref` commit record, then the mapping update.
-    /// The sharers' superseded entries release the old slot's remaining
-    /// references, freeing it once the last one moves.
-    fn repoint_sharers(
-        &mut self,
-        old: &MappingEntry,
-        entry: &MappingEntry,
-        payload: &[u8],
-        referrers: &[(u64, u32)],
-    ) -> Result<(), EdcError> {
-        let hash = self.dedup.content_hash(entry.device_offset).unwrap_or(0);
-        for &(r_start, _) in referrers {
-            if r_start == old.run_start {
-                continue;
-            }
-            let sharer = MappingEntry {
-                run_start: r_start,
-                checksum: checksum64(payload, r_start),
-                ..*entry
-            };
-            self.slots.add_run_refs(entry.device_offset, entry.run_blocks);
-            if let Err(e) = self.faults.program_page() {
-                return Err(fault_to_edc(e));
-            }
-            self.journal.append_ref(&sharer, hash);
-            for evicted in self.map.insert_run(sharer) {
-                self.release_superseded(&evicted);
-            }
-        }
-        Ok(())
     }
 
     /// The referrers of a relocation candidate, as `(run_start, blocks)`
@@ -1679,9 +1410,6 @@ impl EdcPipeline {
             return Ok(report);
         }
         let codec = CodecRegistry::get(target)?;
-        if self.codec_states.is_empty() {
-            self.codec_states.push(CompressorState::new());
-        }
         let mut rewrites = 0usize;
         for entry in self.map.live_runs() {
             if rewrites >= max_rewrites {
@@ -1728,7 +1456,14 @@ impl EdcPipeline {
                     }
                     let stored =
                         raw_len + if self.config.parity { BLOCK_BYTES } else { 0 };
-                    let res = self.replace_run(&entry, CodecId::None, &raw, stored, &referrers);
+                    let res = self.commit_run(
+                        CodecId::None,
+                        entry.run_start,
+                        entry.run_blocks,
+                        &raw,
+                        stored,
+                        Some((entry.device_offset, &referrers)),
+                    );
                     self.recycle_read_buf(raw);
                     res?;
                     self.heat.mark_demoted(entry.run_start, blocks);
@@ -1750,8 +1485,8 @@ impl EdcPipeline {
                         report.skipped_unreadable += 1;
                         continue;
                     }
-                    let mut comp = self.scratch.pop().unwrap_or_default();
-                    codec.compress_with(&mut self.codec_states[0], &raw, &mut comp);
+                    let mut comp = std::mem::take(&mut self.scratch);
+                    codec.compress_with(&mut self.codec_state, &raw, &mut comp);
                     let placement =
                         self.allocator.place(raw.len() as u64, comp.len() as u64, None);
                     let stored = placement.allocated_bytes
@@ -1759,13 +1494,18 @@ impl EdcPipeline {
                     if !placement.compressed || stored >= entry.stored_bytes {
                         report.skipped_no_gain += 1;
                         self.recycle_read_buf(raw);
-                        comp.clear();
-                        self.scratch.push(comp);
+                        self.scratch = comp;
                         continue;
                     }
-                    let res = self.replace_run(&entry, target, &comp, stored, &referrers);
-                    comp.clear();
-                    self.scratch.push(comp);
+                    let res = self.commit_run(
+                        target,
+                        entry.run_start,
+                        entry.run_blocks,
+                        &comp,
+                        stored,
+                        Some((entry.device_offset, &referrers)),
+                    );
+                    self.scratch = comp;
                     let new_entry = match res {
                         Ok(e) => e,
                         Err(e) => {
@@ -1813,73 +1553,6 @@ impl EdcPipeline {
         let off = entry.device_offset as usize;
         out.extend_from_slice(&self.device[off..off + entry.compressed_bytes as usize]);
         Ok(())
-    }
-
-    /// Rewrite a live run out-of-place with a **new** payload and codec
-    /// tag (recompression / demotion), under the same crash discipline as
-    /// [`EdcPipeline::rewrite_run`]: fresh slot, payload (+ parity) pages
-    /// programmed against the power-cut clock, journal commit record,
-    /// mapping update, superseded slot released and its cached
-    /// decompression dropped, every dedup sharer re-pointed through its
-    /// own journaled `Ref` record (the content hash carries over — it is
-    /// a hash of the *raw* bytes, which recompression does not change).
-    /// `referrers` must come from [`EdcPipeline::relocation_referrers`].
-    /// Returns the new mapping entry.
-    fn replace_run(
-        &mut self,
-        old: &MappingEntry,
-        tag: CodecId,
-        payload: &[u8],
-        stored_bytes: u64,
-        referrers: &[(u64, u32)],
-    ) -> Result<MappingEntry, EdcError> {
-        self.run_mutations += 1;
-        let bb = BLOCK_BYTES as usize;
-        let parity = self.config.parity;
-        let device_offset = self.slots.alloc_run(stored_bytes, old.run_blocks);
-        let noff = device_offset as usize;
-        for page in 0..payload.len().div_ceil(bb).max(1) {
-            if let Err(e) = self.faults.program_page() {
-                return Err(fault_to_edc(e));
-            }
-            let lo = page * bb;
-            let hi = (lo + bb).min(payload.len());
-            self.device[noff + lo..noff + hi].copy_from_slice(&payload[lo..hi]);
-        }
-        if parity {
-            if let Err(e) = self.faults.program_page() {
-                return Err(fault_to_edc(e));
-            }
-            let page = xor_parity(payload);
-            let at = noff + stored_bytes as usize - bb;
-            self.device[at..at + bb].copy_from_slice(&page);
-        }
-        self.device_dwell();
-        self.physical_written += stored_bytes;
-        let entry = MappingEntry {
-            tag,
-            run_start: old.run_start,
-            run_blocks: old.run_blocks,
-            device_offset,
-            stored_bytes,
-            compressed_bytes: payload.len() as u64,
-            checksum: checksum64(payload, old.run_start),
-            parity,
-        };
-        // Commit point: the new record supersedes the old one for this
-        // run on replay; a cut before it leaves the old run live.
-        if let Err(e) = self.faults.program_page() {
-            return Err(fault_to_edc(e));
-        }
-        self.journal.append(&entry);
-        // Carry the ledger state to the new offset, then re-point every
-        // sharer; their superseded entries drain the old slot's refs.
-        self.dedup.relocate(old.device_offset, entry);
-        for evicted in self.map.insert_run(entry) {
-            self.release_superseded(&evicted);
-        }
-        self.repoint_sharers(old, &entry, payload, referrers)?;
-        Ok(entry)
     }
 
     /// The heat tracker (read-only view for tests and benchmarks).
@@ -2050,11 +1723,11 @@ impl EdcPipeline {
         Ok(report)
     }
 
-    /// Total codec-scratch growth events across the pooled per-worker
-    /// [`CompressorState`]s. After a warm-up drain this stays constant:
-    /// steady-state compression performs no codec-side allocation.
+    /// Codec-scratch growth events of the pooled [`CompressorState`].
+    /// After a warm-up this stays constant: steady-state compression
+    /// performs no codec-side allocation.
     pub fn codec_state_alloc_events(&self) -> u64 {
-        self.codec_states.iter().map(CompressorState::alloc_events).sum()
+        self.codec_state.alloc_events()
     }
 
     /// The active configuration.
@@ -2197,7 +1870,7 @@ mod tests {
         let mut p = pipeline();
         let data = text_block(1);
         p.write(0, 0, &data).unwrap();
-        p.flush(1_000).unwrap();
+        p.flush_all(1_000).unwrap();
         assert_eq!(p.read(2_000, 0, 4096).unwrap(), data);
     }
 
@@ -2222,10 +1895,10 @@ mod tests {
         let a = text_block(3);
         let b = text_block(4);
         let c = text_block(5);
-        assert!(p.write(0, 0, &a).unwrap().is_none());
-        assert!(p.write(10, 4096, &b).unwrap().is_none());
-        assert!(p.write(20, 8192, &c).unwrap().is_none());
-        let r = p.flush(30).unwrap().expect("flush merged run");
+        assert!(p.write(0, 0, &a).unwrap().is_empty());
+        assert!(p.write(10, 4096, &b).unwrap().is_empty());
+        assert!(p.write(20, 8192, &c).unwrap().is_empty());
+        let r = p.flush_all(30).unwrap().pop().expect("flush merged run");
         assert_eq!(r.blocks, 3);
         assert_eq!(r.start_block, 0);
         // Round trip across the merged run.
@@ -2241,36 +1914,27 @@ mod tests {
         for i in 0..32u64 {
             p.write(i, i * 4096, &text_block(i as u8)).unwrap();
         }
-        p.flush(100).unwrap();
+        p.flush_all(100).unwrap();
         assert!(p.stats().compression_ratio() > 1.5, "ratio {}", p.stats().compression_ratio());
     }
 
     #[test]
     fn steady_state_drains_do_not_allocate_codec_scratch() {
-        // Pin the ladder to Deflate — the most scratch-hungry codec — so
-        // every drain exercises the pooled states regardless of intensity.
-        let config = PipelineConfig {
-            selector: SelectorConfig {
-                rungs: vec![crate::selector::LadderRung {
-                    max_calc_iops: f64::INFINITY,
-                    codec: CodecId::Deflate,
-                }],
-            },
-            workers: 2,
-            ..PipelineConfig::default()
-        };
-        let mut p = EdcPipeline::new(32 << 20, config);
+        // Idle-band arrivals on the default ladder: every run goes to
+        // Deflate, the most scratch-hungry codec.
+        let mut p = EdcPipeline::new(32 << 20, PipelineConfig::default());
         let mut now = 0u64;
         let round = |p: &mut EdcPipeline, now: &mut u64| {
             for i in 0..8u64 {
                 // Non-adjacent offsets: each write seals its own run.
-                p.write(*now, i * 3 * 4096, &text_block(i as u8)).unwrap();
-                *now += 1_000_000;
+                let flushed = p.write(*now, i * 3 * 4096, &text_block(i as u8)).unwrap();
+                assert!(flushed.iter().all(|r| r.tag == CodecId::Deflate), "{flushed:?}");
+                *now += 100_000_000;
             }
             p.flush_all(*now).unwrap();
-            *now += 1_000_000;
+            *now += 100_000_000;
         };
-        // Warm-up drains grow the pooled scratch once.
+        // Warm-up rounds grow the pooled scratch once.
         round(&mut p, &mut now);
         round(&mut p, &mut now);
         let warmed = p.codec_state_alloc_events();
@@ -2289,7 +1953,7 @@ mod tests {
         let mut p = pipeline();
         let r = {
             p.write(0, 0, &random_block(42)).unwrap();
-            p.flush(1).unwrap().unwrap()
+            p.flush_all(1).unwrap().pop().unwrap()
         };
         assert_eq!(r.tag, CodecId::None);
         assert_eq!(r.allocated_bytes, 4096);
@@ -2304,7 +1968,7 @@ mod tests {
         let mut last = None;
         for i in 0..6000u64 {
             let off = (i % 400) * 3 * 4096; // non-contiguous: flush each time
-            last = p.write(i * 50_000, off, &text_block(9)).unwrap().or(last);
+            last = p.write(i * 50_000, off, &text_block(9)).unwrap().pop().or(last);
         }
         let r = last.expect("flushes happened");
         assert_eq!(r.tag, CodecId::None, "burst writes must skip compression");
@@ -2316,11 +1980,9 @@ mod tests {
         // One write every 100 ms: ~10 calculated IOPS → Gzip band.
         let mut results = Vec::new();
         for i in 0..20u64 {
-            if let Some(r) = p.write(i * 100_000_000, (i * 5) * 4096, &text_block(7)).unwrap() {
-                results.push(r);
-            }
+            results.extend(p.write(i * 100_000_000, (i * 5) * 4096, &text_block(7)).unwrap());
         }
-        if let Some(r) = p.flush(20 * 100_000_000).unwrap() { results.push(r) }
+        results.extend(p.flush_all(20 * 100_000_000).unwrap());
         assert!(
             results.iter().any(|r| r.tag == CodecId::Deflate),
             "idle writes should pick Gzip, got {:?}",
@@ -2334,9 +1996,9 @@ mod tests {
         let v1 = text_block(1);
         let v2 = random_block(77);
         p.write(0, 4096, &v1).unwrap();
-        p.flush(1).unwrap();
+        p.flush_all(1).unwrap();
         p.write(2, 4096, &v2).unwrap();
-        p.flush(3).unwrap();
+        p.flush_all(3).unwrap();
         assert_eq!(p.read(4, 4096, 4096).unwrap(), v2);
     }
 
@@ -2347,7 +2009,7 @@ mod tests {
         let b = text_block(12);
         p.write(0, 0, &a).unwrap();
         p.write(1, 4096, &b).unwrap();
-        p.flush(2).unwrap();
+        p.flush_all(2).unwrap();
         // Read only the second block of the two-block run.
         assert_eq!(p.read(3, 4096, 4096).unwrap(), b);
     }
@@ -2360,7 +2022,7 @@ mod tests {
         big.extend(random_block(5));
         big.extend(text_block(22));
         p.write(0, 16384, &big).unwrap();
-        p.flush(1).unwrap();
+        p.flush_all(1).unwrap();
         assert_eq!(p.read(2, 16384, big.len() as u64).unwrap(), big);
     }
 
@@ -2389,7 +2051,7 @@ mod tests {
         p.set_hint(0, 8192, FileTypeHint::Precompressed);
         let data = text_block(40); // would normally compress well
         p.write(0, 0, &data).unwrap();
-        let r = p.flush(1).unwrap().unwrap();
+        let r = p.flush_all(1).unwrap().pop().unwrap();
         assert_eq!(r.tag, CodecId::None, "hint must veto compression");
         assert_eq!(p.read(2, 0, 4096).unwrap(), data);
     }
@@ -2400,7 +2062,7 @@ mod tests {
         p.set_hint(0, 4096, FileTypeHint::Database);
         // Slow writes → ladder would pick the strong codec; the hint caps it.
         p.write(0, 0, &text_block(41)).unwrap();
-        let r = p.flush(100_000_000).unwrap().unwrap();
+        let r = p.flush_all(100_000_000).unwrap().pop().unwrap();
         assert_eq!(r.tag, CodecId::Lzf, "database hint caps at Lzf, got {:?}", r.tag);
     }
 
@@ -2409,7 +2071,7 @@ mod tests {
         let mut p = pipeline();
         p.set_hint(1 << 20, 4096, FileTypeHint::Precompressed);
         p.write(0, 0, &text_block(42)).unwrap();
-        let r = p.flush(100_000_000).unwrap().unwrap();
+        let r = p.flush_all(100_000_000).unwrap().pop().unwrap();
         assert_ne!(r.tag, CodecId::None, "hint elsewhere must not leak");
     }
 
@@ -2418,7 +2080,7 @@ mod tests {
         let mut p = pipeline();
         let data = text_block(33);
         p.write(0, 0, &data).unwrap();
-        p.flush(1).unwrap();
+        p.flush_all(1).unwrap();
         // Flip one byte of the stored payload behind the pipeline's back.
         p.device[0] ^= 0x01;
         match p.read(2, 0, 4096) {
@@ -2436,10 +2098,10 @@ mod tests {
         for (i, blockdata) in old.iter().enumerate() {
             p.write(i as u64, i as u64 * 4096, blockdata).unwrap();
         }
-        p.flush(10).unwrap(); // one merged 4-block run
+        p.flush_all(10).unwrap(); // one merged 4-block run
         let fresh = random_block(4242);
         p.write(20, 4096, &fresh).unwrap(); // overwrite only block 1
-        p.flush(30).unwrap();
+        p.flush_all(30).unwrap();
         // A read spanning the whole range must mix old and new correctly.
         let got = p.read(40, 0, 4 * 4096).unwrap();
         assert_eq!(&got[..4096], &old[0][..], "block 0 from the old run");
@@ -2452,7 +2114,7 @@ mod tests {
     fn mapping_tags_recorded() {
         let mut p = pipeline();
         p.write(0, 0, &text_block(1)).unwrap();
-        let r = p.flush(1).unwrap().unwrap();
+        let r = p.flush_all(1).unwrap().pop().unwrap();
         assert_ne!(r.tag, CodecId::None, "slow text write should compress");
         assert!(r.payload_bytes < 4096);
         assert!(r.allocated_bytes <= 4096);
@@ -2482,55 +2144,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_multicore_store_is_bit_identical_to_serial() {
-        let make = |workers: usize| {
-            EdcPipeline::new(8 << 20, PipelineConfig { workers, ..PipelineConfig::default() })
-        };
-        // Two inputs, as (run, arrival gap, offset stride in blocks):
-        // single mixed text/random blocks 1 µs apart (the burst band), and
-        // 4-block source-like runs 100 ms apart — calculated IOPS in the
-        // idle band, so every run goes to Deflate, where the compression
-        // fan-out does the most work. Strides leave gaps so no runs merge.
-        let mixed: Vec<Vec<u8>> = (0..64)
-            .map(|i| if i % 5 == 4 { random_block(i) } else { text_block(i as u8) })
-            .collect();
-        let source = edc_datagen::corpus::linux_source_like(11, 64, 4 * 4096).blocks;
-        for (runs, gap_ns, stride) in [(&mixed, 1_000u64, 3u64), (&source, 100_000_000, 5)] {
-            let batch: Vec<BatchWrite<'_>> = runs
-                .iter()
-                .enumerate()
-                .map(|(i, data)| BatchWrite {
-                    now_ns: i as u64 * gap_ns,
-                    offset: (i as u64 * stride) * 4096,
-                    data,
-                })
-                .collect();
-            let end_ns = runs.len() as u64 * gap_ns;
-
-            // Serial reference: one write at a time, one worker.
-            let mut serial = make(1);
-            for w in &batch {
-                serial.write(w.now_ns, w.offset, w.data).unwrap();
-            }
-            serial.flush(end_ns).unwrap();
-
-            // Batched, four workers, one call.
-            let mut batched = make(4);
-            batched.write_batch(&batch).unwrap();
-            batched.flush_all(end_ns).unwrap();
-
-            assert!(serial.device == batched.device, "device images must be bit-identical");
-            assert_eq!(serial.stats().physical_written, batched.stats().physical_written);
-            assert_eq!(serial.stats().logical_written, batched.stats().logical_written);
-        }
-    }
-
-    #[test]
     fn repeated_reads_hit_run_cache() {
         let mut p = pipeline();
         let data = text_block(70);
         p.write(0, 0, &data).unwrap();
-        p.flush(1).unwrap();
+        p.flush_all(1).unwrap();
         assert_eq!(p.read(2, 0, 4096).unwrap(), data); // miss, fills cache
         assert_eq!(p.read(3, 0, 4096).unwrap(), data); // hit
         let s = p.stats().cache;
@@ -2549,14 +2167,14 @@ mod tests {
         for (i, blockdata) in old.iter().enumerate() {
             p.write(i as u64, i as u64 * 4096, blockdata).unwrap();
         }
-        p.flush(10).unwrap(); // one merged 4-block run
+        p.flush_all(10).unwrap(); // one merged 4-block run
         // Populate the cache with the merged run's decompression.
         let first = p.read(20, 0, 4 * 4096).unwrap();
         assert_eq!(&first[4096..8192], &old[1][..]);
         assert!(p.stats().cache.misses > 0, "first read fills the cache");
         let fresh = random_block(777);
         p.write(30, 4096, &fresh).unwrap(); // overwrite only block 1
-        p.flush(40).unwrap();
+        p.flush_all(40).unwrap();
         assert!(
             p.stats().cache.invalidations > 0,
             "overwrite must invalidate the cached run, stats {:?}",
@@ -2579,7 +2197,7 @@ mod tests {
         let b = text_block(91);
         p.write(0, 0, &a).unwrap();
         p.write(1, 4096, &b).unwrap();
-        p.flush(2).unwrap();
+        p.flush_all(2).unwrap();
         let got = p.read(3, 0, 8192).unwrap();
         assert_eq!(&got[..4096], &a[..]);
         assert_eq!(&got[4096..], &b[..]);
@@ -2797,7 +2415,7 @@ mod tests {
         let mut p = pipeline();
         let data = random_block(123); // incompressible → write-through
         p.write(0, 0, &data).unwrap();
-        let r = p.flush(1).unwrap().unwrap();
+        let r = p.flush_all(1).unwrap().pop().unwrap();
         assert_eq!(r.tag, CodecId::None);
         // Corrupt one stored byte behind the pipeline's back.
         let entry = p.map.get(0).unwrap();
@@ -2849,7 +2467,7 @@ mod tests {
         stored.push((8 * 4096, random_block(99))); // write-through
         for (i, (off, data)) in stored.iter().enumerate() {
             p.write(i as u64, *off, data).unwrap();
-            p.flush(10 + i as u64).unwrap();
+            p.flush_all(10 + i as u64).unwrap();
         }
         stored
     }
@@ -2941,7 +2559,7 @@ mod tests {
         let mut p = pipeline(); // parity off
         let data = text_block(44);
         p.write(0, 0, &data).unwrap();
-        p.flush(1).unwrap();
+        p.flush_all(1).unwrap();
         let entry = p.map.get(0).unwrap();
         p.device[entry.device_offset as usize] ^= 0x04;
         let report = p.scrub().unwrap();
@@ -2977,7 +2595,7 @@ mod tests {
         let mut p = parity_pipeline();
         let v1 = text_block(81);
         p.write(0, 0, &v1).unwrap();
-        p.flush(1).unwrap();
+        p.flush_all(1).unwrap();
         // Populate the read cache for the run's (old) device offset.
         assert_eq!(p.read(2, 0, 4096).unwrap(), v1);
         let old = p.map.get(0).unwrap();
@@ -2992,7 +2610,7 @@ mod tests {
         // slot is reused for fresh content at the old device offset.
         let v2 = text_block(82);
         p.write(10, 64 * 4096, &v2).unwrap();
-        p.flush(11).unwrap();
+        p.flush_all(11).unwrap();
         let fresh = p.map.get(64).unwrap();
         assert_eq!(
             fresh.device_offset, old.device_offset,
@@ -3173,7 +2791,7 @@ mod tests {
         // ...plus an unhinted control run that should recompress. Writing
         // it breaks sequentiality, so this call flushes the hinted run.
         let control: Vec<u8> = (0..4).flat_map(|b| lowent_block(950 + b)).collect();
-        let hinted_result = p.write(1_000_000, 8 * 4096, &control).unwrap();
+        let hinted_result = p.write(1_000_000, 8 * 4096, &control).unwrap().pop();
         assert_eq!(
             hinted_result.expect("hinted run flushed").tag,
             CodecId::None,
@@ -3337,12 +2955,12 @@ mod tests {
         let mut p = dedup_pipeline();
         let data = text_block(7);
         p.write(0, 0, &data).unwrap();
-        p.flush(1).unwrap();
+        p.flush_all(1).unwrap();
         let physical_once = p.stats().physical_written;
         let live_once = p.live_stored_bytes();
         // The same bytes at a far-away logical block: a dedup hit.
         p.write(10, 10 * 4096, &data).unwrap();
-        let r = p.flush(11).unwrap().expect("sealed run");
+        let r = p.flush_all(11).unwrap().pop().expect("sealed run");
         assert_eq!(r.allocated_bytes, 0, "a hit allocates no flash");
         let stats = p.stats();
         assert_eq!(stats.dedup_hits, 1);
@@ -3360,10 +2978,9 @@ mod tests {
     fn duplicate_within_one_drain_dedups_against_earlier_chunk() {
         let mut p = dedup_pipeline();
         let (data, last) = (text_block(9), text_block(6));
-        // Two identical single-block runs sealed into the same drain (a
-        // batch drains what it sealed at its end; the third write only
-        // seals the second): the second must share the first's freshly
-        // stored run, which no index lookup can see yet.
+        // Two identical single-block runs sealed by one call (the third
+        // write only seals the second): the first is stored and indexed
+        // at its seal point, so the second shares its fresh run.
         let at = |now_ns, block: u64, data| BatchWrite { now_ns, offset: block * 4096, data };
         let results = p.write_batch(&[at(0, 0, &data), at(1, 20, &data), at(2, 40, &last)]).unwrap();
         assert_eq!(results.len(), 2);
@@ -3381,14 +2998,13 @@ mod tests {
         let mut p = dedup_pipeline();
         let dup = text_block(9);
         p.write(0, 0, &dup).unwrap();
-        p.flush(1).unwrap();
-        // One drain, three chunks (a batch drains what it sealed at its
-        // end; the fourth write only seals the third): the first
-        // overwrites the only referrer of the stored run and so frees its
-        // slot, the second is new content that moves into the freed slot,
-        // the third carries the old run's content. The probe resolved the
-        // third to the old run; by its commit that offset holds the
-        // second chunk, and only the commit-time compare can tell.
+        p.flush_all(1).unwrap();
+        // One call, three runs (the fourth write only seals the third):
+        // the first overwrites the only referrer of the stored run and so
+        // frees its slot, the second is new content that moves into the
+        // freed slot, the third carries the old run's content. By the
+        // third's probe the old run is gone from the index and its offset
+        // holds the second run, so the third stores as a unique run.
         let (other, third, last) = (text_block(4), text_block(5), text_block(6));
         let at = |now_ns, block: u64, data| BatchWrite { now_ns, offset: block * 4096, data };
         let batch = [at(10, 0, &other), at(11, 30, &third), at(12, 20, &dup), at(13, 40, &last)];
@@ -3409,15 +3025,15 @@ mod tests {
         let mut p = dedup_pipeline();
         let dup = text_block(3);
         p.write(0, 0, &dup).unwrap();
-        p.flush(1).unwrap();
+        p.flush_all(1).unwrap();
         p.write(10, 10 * 4096, &dup).unwrap();
-        p.flush(11).unwrap();
+        p.flush_all(11).unwrap();
         assert_eq!(p.verify_dedup().unwrap().shared_runs, 1);
         let live_shared = p.live_stored_bytes();
         // Overwrite one referrer: the run drops back to a single ref.
         let fresh = random_block(77);
         p.write(20, 0, &fresh).unwrap();
-        p.flush(21).unwrap();
+        p.flush_all(21).unwrap();
         let report = p.verify_dedup().unwrap();
         assert_eq!(report.shared_runs, 0, "one referrer left");
         assert_eq!(p.read(30, 0, 4096).unwrap(), fresh);
@@ -3426,7 +3042,7 @@ mod tests {
         // slot is reclaimed (live bytes fall below the shared steady state).
         let fresh2 = random_block(99);
         p.write(40, 10 * 4096, &fresh2).unwrap();
-        p.flush(41).unwrap();
+        p.flush_all(41).unwrap();
         p.verify_dedup().unwrap();
         assert_eq!(p.read(50, 10 * 4096, 4096).unwrap(), fresh2);
         assert!(
@@ -3435,6 +3051,104 @@ mod tests {
         );
         let v = p.verify().unwrap();
         assert_eq!(v.unrecoverable, 0);
+    }
+
+    /// A 16-block run the default chunker splits at two or more
+    /// content-defined cut points, with its chunk lengths.
+    fn split_run() -> (Vec<u8>, Vec<u32>) {
+        let config = DedupConfig::default();
+        let gear = GearTable::new(config.seed);
+        (0u64..)
+            .map(|seed| (0..16).flat_map(|b| random_block(seed * 16 + b + 1)).collect::<Vec<u8>>())
+            .find_map(|data| {
+                let cuts = chunk_blocks(&gear, &config, &data);
+                (cuts.len() >= 3).then_some((data, cuts))
+            })
+            .expect("some seed splits")
+    }
+
+    #[test]
+    fn write_reports_every_chunk_of_a_split_run() {
+        let mut p = dedup_pipeline();
+        let (data, cuts) = split_run();
+        assert!(p.write(0, 0, &data).unwrap().is_empty());
+        // A non-contiguous write seals the 16-block run: one result per
+        // chunk, not just the last one.
+        let results = p.write(1, 64 * 4096, &text_block(1)).unwrap();
+        assert_eq!(results.iter().map(|r| r.blocks).collect::<Vec<_>>(), cuts);
+        assert_eq!(results.iter().map(|r| r.blocks).sum::<u32>(), 16);
+        assert_eq!(
+            results.iter().map(|r| r.allocated_bytes).sum::<u64>(),
+            p.stats().physical_written,
+            "no chunk's allocation goes unreported"
+        );
+    }
+
+    #[test]
+    fn write_batch_indexed_attributes_results_to_the_sealing_entry() {
+        let mut p = dedup_pipeline();
+        let (data, cuts) = split_run();
+        let (before, next, last) = (text_block(1), text_block(2), text_block(3));
+        // A run buffered before the call belongs to the entry that seals it.
+        assert!(p.write(0, 100 * 4096, &before).unwrap().is_empty());
+        let at = |now_ns, block: u64, data| BatchWrite { now_ns, offset: block * 4096, data };
+        let results = p
+            .write_batch_indexed(&[at(1, 0, &data), at(2, 200, &next), at(3, 300, &last)])
+            .unwrap();
+        // Seal order: the earlier run (sealed by entry 0), every chunk of
+        // the split run (entry 1), then the run entry 2 sealed.
+        let mut want = vec![(0usize, 100u64, 1u32)];
+        let mut start = 0u64;
+        for &len in &cuts {
+            want.push((1, start, len));
+            start += u64::from(len);
+        }
+        want.push((2, 200, 1));
+        let got: Vec<_> = results.iter().map(|(i, r)| (*i, r.start_block, r.blocks)).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn mid_batch_power_cut_matches_one_call_per_write() {
+        // Five non-contiguous single-block writes: the batch seals four
+        // runs (two programs each: one payload page, one commit record).
+        let blocks: Vec<Vec<u8>> = (0..5).map(|i| text_block(40 + i)).collect();
+        let batch: Vec<BatchWrite<'_>> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, data)| BatchWrite { now_ns: i as u64, offset: i as u64 * 3 * 4096, data })
+            .collect();
+        let mut clean = pipeline();
+        assert_eq!(clean.write_batch(&batch).unwrap().len(), 4);
+        let total = clean.stats().programs;
+        assert_eq!(total, 8);
+        for cut in 0..total {
+            let plan = FaultPlan { power_cut_after_programs: Some(cut), ..FaultPlan::none() };
+            let (mut batched, mut serial) = (pipeline(), pipeline());
+            batched.set_fault_plan(plan);
+            serial.set_fault_plan(plan);
+            let b = batched.write_batch(&batch);
+            let s = batch.iter().try_for_each(|w| serial.write(w.now_ns, w.offset, w.data).map(drop));
+            for res in [b.map(drop), s] {
+                assert!(
+                    matches!(res, Err(EdcError::Write(WriteError::PowerCut { .. }))),
+                    "cut {cut}: a typed power cut, got {res:?}"
+                );
+            }
+            assert_eq!(batched.recover().unwrap(), serial.recover().unwrap(), "cut {cut}");
+            assert_eq!(batched.stats(), serial.stats(), "cut {cut}");
+            assert!(batched.device == serial.device, "cut {cut}: device images differ");
+            // The journal holds exactly the runs committed before the cut;
+            // every later block reads as unwritten.
+            let committed = batched.stats().journal_records as usize;
+            assert_eq!(committed as u64, cut / 2, "cut {cut}");
+            for (i, data) in blocks.iter().enumerate() {
+                let got = batched.read(100, i as u64 * 3 * 4096, 4096).unwrap();
+                let want = if i < committed { data.clone() } else { vec![0u8; 4096] };
+                assert_eq!(got, want, "cut {cut}: block of write {i}");
+                assert_eq!(serial.read(100, i as u64 * 3 * 4096, 4096).unwrap(), want);
+            }
+        }
     }
 
     #[test]
@@ -3467,9 +3181,9 @@ mod tests {
         let mut p = dedup_pipeline();
         let dup = text_block(6);
         p.write(0, 0, &dup).unwrap();
-        p.flush(1).unwrap();
+        p.flush_all(1).unwrap();
         p.write(10, 10 * 4096, &dup).unwrap();
-        p.flush(11).unwrap();
+        p.flush_all(11).unwrap();
         p.cut_power();
         let report = p.recover().unwrap();
         assert_eq!(report.payload_mismatches, 0);
@@ -3480,10 +3194,10 @@ mod tests {
         // The rebuilt refcounts must gate freeing: dropping one referrer
         // keeps the other readable, dropping both reclaims the slot.
         p.write(30, 0, &random_block(1)).unwrap();
-        p.flush(31).unwrap();
+        p.flush_all(31).unwrap();
         assert_eq!(p.read(40, 10 * 4096, 4096).unwrap(), dup);
         p.write(50, 10 * 4096, &random_block(2)).unwrap();
-        p.flush(51).unwrap();
+        p.flush_all(51).unwrap();
         p.verify_dedup().unwrap();
         assert_eq!(p.verify().unwrap().unrecoverable, 0);
         // A second recovery replays the overwrites' releases too.
@@ -3572,9 +3286,9 @@ mod tests {
         let mut p = dedup_pipeline();
         let dup = text_block(4);
         p.write(0, 0, &dup).unwrap();
-        p.flush(1).unwrap();
+        p.flush_all(1).unwrap();
         p.write(10, 10 * 4096, &dup).unwrap();
-        p.flush(11).unwrap();
+        p.flush_all(11).unwrap();
         let off = p.map.get(0).expect("mapped").device_offset;
         p.dedup.purge(off);
         let err = p.verify_dedup().unwrap_err();

@@ -47,9 +47,7 @@ pub const SPEC_BYTES: usize = 40 + FAULT_PLAN_BYTES;
 /// Everything needed to rebuild the recorded store from scratch.
 ///
 /// The spec pins the store *shape* (capacity, sharding, cache, parity,
-/// heat policy, fault plan); tuning knobs that don't change observable
-/// behaviour digests (worker count aside, which is recorded anyway for
-/// faithfulness) ride along. The codec ladder is either the paper
+/// heat policy, fault plan). The codec ladder is either the paper
 /// default or, with [`StoreSpec::fast_ladder`], pinned to the fast
 /// rung; estimator and allocator use defaults — campaigns that need
 /// anything fancier replay via [`Replayer::replay_against`] with their
@@ -63,8 +61,6 @@ pub struct StoreSpec {
     pub shards: u32,
     /// Extent size in 4 KiB blocks (sharded stores only).
     pub extent_blocks: u64,
-    /// Compression worker threads (bit-identical results at any value).
-    pub workers: u32,
     /// Read-cache capacity in runs (0 disables).
     pub cache_runs: u32,
     /// Store an XOR parity page with every run.
@@ -91,7 +87,6 @@ impl Default for StoreSpec {
             capacity_bytes: 64 << 20,
             shards: 0,
             extent_blocks: 64,
-            workers: 1,
             cache_runs: 32,
             parity: false,
             heat_enabled: true,
@@ -104,13 +99,15 @@ impl Default for StoreSpec {
 }
 
 impl StoreSpec {
-    /// Fixed-width encoding (see [`SPEC_BYTES`]).
+    /// Fixed-width encoding (see [`SPEC_BYTES`]). Bytes 20..24 are a
+    /// reserved word (the retired worker count of older logs): written as
+    /// 0, ignored by [`StoreSpec::decode`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(SPEC_BYTES);
         out.extend_from_slice(&self.capacity_bytes.to_le_bytes());
         out.extend_from_slice(&self.shards.to_le_bytes());
         out.extend_from_slice(&self.extent_blocks.to_le_bytes());
-        out.extend_from_slice(&self.workers.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
         out.extend_from_slice(&self.cache_runs.to_le_bytes());
         out.push(self.parity as u8);
         out.push(self.heat_enabled as u8);
@@ -137,7 +134,6 @@ impl StoreSpec {
             capacity_bytes: u64_at(0),
             shards: u32_at(8),
             extent_blocks: u64_at(12),
-            workers: u32_at(20),
             cache_runs: u32_at(24),
             parity: bytes[28] == 1,
             heat_enabled: bytes[29] == 1,
@@ -162,7 +158,6 @@ impl StoreSpec {
             crate::selector::SelectorConfig::default()
         };
         PipelineConfig {
-            workers: self.workers.max(1) as usize,
             cache_runs: self.cache_runs as usize,
             parity: self.parity,
             fault: self.fault,
@@ -494,10 +489,6 @@ impl StoreSpec {
     /// Check that a store built from `self` can faithfully replay a log
     /// recorded against `recorded`, reporting the first disagreeing
     /// shape field as a typed [`ReplayRefusal::SpecMismatch`].
-    ///
-    /// Every field except `workers` is compared: worker count is the one
-    /// knob documented to be bit-identical at any value, so it may
-    /// legitimately differ between capture and replay machines.
     pub fn require_matches(&self, recorded: &StoreSpec) -> Result<(), ReplayRefusal> {
         macro_rules! same {
             ($field:ident) => {
@@ -587,7 +578,6 @@ mod tests {
             capacity_bytes: 128 << 20,
             shards: 8,
             extent_blocks: 32,
-            workers: 4,
             cache_runs: 64,
             parity: true,
             heat_enabled: false,
@@ -693,10 +683,8 @@ mod tests {
     fn mismatched_target_spec_is_refused_not_diverged() {
         let recorded = StoreSpec::default();
         let bytes = drive(recorded);
-        // Same shape replays fine — and a different worker count is
-        // explicitly allowed (bit-identical by design).
-        let same = StoreSpec { workers: 8, ..recorded };
-        let report = Replayer::replay_as(&same, &bytes).expect("same shape accepted");
+        // Same shape replays fine.
+        let report = Replayer::replay_as(&recorded, &bytes).expect("same shape accepted");
         assert!(report.is_exact());
         // A differently-shaped target (what an array-backed campaign
         // would declare) is refused with a typed error naming the field.

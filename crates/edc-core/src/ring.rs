@@ -13,7 +13,10 @@
 //! [`EdcPipeline::write_batch_indexed`](crate::pipeline::EdcPipeline::write_batch_indexed)
 //! call — and posts
 //! typed completion records group by group, as each lands, so waiters
-//! resubmit while the rest of the batch is still dispatching. Callers
+//! resubmit while the rest of the batch is still dispatching. The
+//! pipeline stores a run the moment it seals, batch or no batch: a
+//! coalesced group amortises the shard lock and the call overhead, not
+//! compression. Callers
 //! harvest completions with
 //! [`Ring::wait`] / [`Ring::try_reap`] / [`Ring::drain`]. Queue depth,
 //! not thread count, now drives device saturation: a handful of
@@ -80,7 +83,7 @@ use std::time::Instant;
 /// holds its shard for the whole `write_batch` call and its riders'
 /// completions post only when the group lands, so the cap bounds
 /// completion staleness under deep queues while still amortizing the
-/// shard lock and drain machinery across many writes.
+/// shard lock and call overhead across many writes.
 const MAX_COALESCE: usize = 16;
 
 /// Configuration of a [`Ring`].

@@ -269,7 +269,7 @@ impl ShardedPipeline {
         Ok(out)
     }
 
-    /// Flush every shard's buffered and sealed runs, fanning the shards
+    /// Flush every shard's buffered run, fanning the shards
     /// across worker threads. Results are concatenated in shard order.
     pub fn flush_all(&self, now_ns: u64) -> Result<Vec<WriteResult>, EdcError> {
         let per_shard = self.for_each_shard(|p| p.flush_all(now_ns));

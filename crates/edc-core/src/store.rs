@@ -56,7 +56,7 @@ pub enum Op {
         /// Length in bytes (4 KiB-aligned).
         len: u64,
     },
-    /// Drain all buffered and sealed runs ([`Store::flush_all`]).
+    /// Store every buffered run ([`Store::flush_all`]).
     Flush,
     /// Verify-and-heal pass over every live run ([`Store::scrub`]).
     Scrub,

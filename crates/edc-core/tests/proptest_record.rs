@@ -132,7 +132,6 @@ fn check_round_trip(rng: &mut Rng64, shards: u32) {
         capacity_bytes: 16 << 20,
         shards,
         extent_blocks: 8,
-        workers: 1 + rng.below(2) as u32,
         cache_runs: if rng.chance(0.7) { 16 } else { 0 },
         parity: rng.chance(0.5),
         fault: if rng.chance(0.3) { gen_fault_plan(rng) } else { FaultPlan::none() },

@@ -73,7 +73,7 @@ fn drive(
     for round in workload {
         for (block, data) in round {
             latest.insert(*block, data.clone());
-            if let Some(r) = p.write(t, block * BB, data)? {
+            for r in p.write(t, block * BB, data)? {
                 commit(committed, latest, &r);
             }
             t += 1_000_000;

@@ -193,7 +193,6 @@ fn recorded_ring_replays_bit_exact_including_mid_drain_power_cut() {
             capacity_bytes: 32 << 20,
             shards,
             extent_blocks,
-            workers: rng.range_usize(1, 3) as u32,
             dedup: rng.chance(0.3),
             ..StoreSpec::default()
         };

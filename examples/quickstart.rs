@@ -27,11 +27,10 @@ fn main() -> Result<(), EdcError> {
     for i in 0..64u64 {
         let (_, data) = generator.block(4096);
         originals.push((i, data.clone()));
-        let flushed = store.write(t_ns, i * 4096, &data)?;
-        report(flushed);
+        report(&store.write(t_ns, i * 4096, &data)?);
         t_ns += 50_000_000;
     }
-    report(store.flush(t_ns)?);
+    report(&store.flush_all(t_ns)?);
 
     // Read everything back and verify.
     for (i, data) in &originals {
@@ -53,8 +52,8 @@ fn main() -> Result<(), EdcError> {
     Ok(())
 }
 
-fn report(result: Option<WriteResult>) {
-    if let Some(r) = result {
+fn report(results: &[WriteResult]) {
+    for r in results {
         let codec = match r.tag {
             CodecId::None => "store",
             other => other.name(),

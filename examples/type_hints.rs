@@ -53,15 +53,11 @@ fn run(with_hints: bool) -> (EdcPipeline, Vec<(&'static str, RangeOutcome)>) {
     for &(_, start, blocks, class) in LAYOUT {
         for b in start..start + blocks {
             let data = generator.block_of(class, 4096);
-            if let Some(r) = store.write(t, b * 4096, &data).expect("write") {
-                record(&r);
-            }
+            store.write(t, b * 4096, &data).expect("write").iter().for_each(&mut record);
             t += 20_000_000; // 50 writes/s: idle, ladder would pick Gzip
         }
     }
-    if let Some(r) = store.flush(t).expect("flush") {
-        record(&r);
-    }
+    store.flush_all(t).expect("flush").iter().for_each(&mut record);
     (store, outcomes)
 }
 

@@ -29,7 +29,7 @@
 //!     let mut store = EdcPipeline::new(1 << 20, PipelineConfig::default());
 //!     let block = vec![b'a'; 4096];
 //!     store.write(0, 0, &block)?;          // buffered by the Sequentiality Detector
-//!     store.flush(1_000)?;                 // compress + place
+//!     store.flush_all(1_000)?;             // compress + place
 //!     assert_eq!(store.read(2_000, 0, 4096)?, block);
 //!     assert!(store.stats().compression_ratio() > 1.0);
 //!     Ok(())

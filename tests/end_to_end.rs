@@ -130,7 +130,7 @@ fn pipeline_stores_datagen_content_losslessly() {
             assert_eq!(store.read(t, o, d.len() as u64).unwrap(), d);
         }
     }
-    store.flush(t).expect("flush");
+    store.flush_all(t).expect("flush");
     for (o, d) in &written {
         assert_eq!(&store.read(t, *o, d.len() as u64).unwrap(), d, "offset {o}");
     }
@@ -147,9 +147,9 @@ fn pipeline_tags_match_real_codecs() {
     let text = generator.block_of(BlockClass::Text, 4096);
     let noise = generator.block_of(BlockClass::Random, 4096);
     store.write(0, 0, &text).unwrap();
-    let r1 = store.flush(1).unwrap().unwrap();
+    let r1 = store.flush_all(1).unwrap().pop().unwrap();
     store.write(2, 8192, &noise).unwrap();
-    let r2 = store.flush(3).unwrap().unwrap();
+    let r2 = store.flush_all(3).unwrap().pop().unwrap();
     assert_ne!(r1.tag, CodecId::None, "text must compress");
     assert!(r1.payload_bytes < 4096);
     assert_eq!(r2.tag, CodecId::None, "noise must be written through");

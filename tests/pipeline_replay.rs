@@ -94,7 +94,7 @@ fn real_bytes_pipeline_survives_full_workload() {
             }
         }
     }
-    store.flush(u64::MAX / 2).expect("flush");
+    store.flush_all(u64::MAX / 2).expect("flush");
 
     // Final sweep: every shadowed block must decompress to its last write.
     // (Bounded to 1500 blocks; coverage is already random.)

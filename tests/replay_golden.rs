@@ -29,14 +29,13 @@ fn golden_sharded_log_replays_bit_exactly() {
 
 #[test]
 fn golden_log_spec_is_the_documented_shape() {
-    // The fixture exercises the sharded + parity + multi-worker path; if
+    // The fixture exercises the sharded + parity + dedup path; if
     // a regeneration silently changed the shape, fail loudly here rather
     // than quietly testing less.
     let bytes = fixture_bytes("golden_sharded.edcrr");
     let log = edc::core::parse_edcrr(&bytes).expect("golden log parses");
     assert_eq!(log.spec.shards, 2);
     assert!(log.spec.parity);
-    assert_eq!(log.spec.workers, 2);
     assert!(log.spec.dedup, "fixture must exercise the dedup front-end");
     assert!(log.spec.fast_ladder, "fixture records on the fast rung so passes have work");
     assert!(!log.torn_tail);
@@ -67,10 +66,8 @@ fn reshaped_store_refuses_single_device_golden_log() {
         ),
         Err(other) => panic!("expected a spec mismatch, got {other}"),
     }
-    // The declared-shape path still accepts the true shape, and a
-    // replay-machine worker-count difference is explicitly tolerated.
-    let same = StoreSpec { workers: recorded.workers + 2, ..recorded };
-    let report = Replayer::replay_as(&same, &bytes).expect("true shape accepted");
+    // The declared-shape path still accepts the true shape.
+    let report = Replayer::replay_as(&recorded, &bytes).expect("true shape accepted");
     assert!(report.is_exact());
 }
 
