@@ -500,10 +500,13 @@ pub fn run(smoke: bool, out_dir: &Path) -> CmdResult {
     h.metric("speedup_t8_vs_t1", speedup);
     let vs_serial = t1_ops_s / serial.ops_per_s().max(1e-9);
     h.metric("sharded_t1_vs_serial", vs_serial);
-    if vs_serial < 0.9 {
+    // Two short runs against each other: the smoke bar only has to
+    // catch a broken front-end, not a neighbour's burst.
+    let serial_floor = if smoke { 0.7 } else { 0.9 };
+    if vs_serial < serial_floor {
         eprintln!(
             "# FAIL: 1-thread sharded throughput is {vs_serial:.2}x the serial \
-             EdcPipeline baseline (must stay within 10%)"
+             EdcPipeline baseline (floor {serial_floor:.1}x)"
         );
         failures += 1;
     }

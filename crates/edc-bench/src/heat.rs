@@ -388,9 +388,12 @@ pub fn run(smoke: bool, out_dir: &Path) -> CmdResult {
         eprintln!("# FAIL: the background pass never recompressed anything");
         failures += 1;
     }
-    // Gate 2: hot reads must not pay for it (5% p99 budget).
-    if p99_ratio > 1.05 {
-        eprintln!("# FAIL: hot-read p99 regressed {p99_ratio:.3}x (budget 1.05x)");
+    // Gate 2: hot reads must not pay for it (5% p99 budget; a smoke
+    // run's two ~5 µs arms are too short to resolve 5%, so it only
+    // catches a gross regression).
+    let p99_budget = if smoke { 1.5 } else { 1.05 };
+    if p99_ratio > p99_budget {
+        eprintln!("# FAIL: hot-read p99 regressed {p99_ratio:.3}x (budget {p99_budget}x)");
         failures += 1;
     }
 

@@ -129,24 +129,12 @@ impl<V> RunCache<V> {
     /// Drop a run on overwrite or relocation. Returns the dropped value
     /// (if the run was resident) so `RunCache<Vec<u8>>` callers can
     /// recycle the buffer, mirroring [`RunCache::insert`].
-    ///
-    /// Ownership contract: the returned value has *left* the cache — it
-    /// must not also be reachable through any other owner the caller
-    /// recycles from (see `EdcPipeline::recycle_read_buf`, which
-    /// `debug_assert`s exactly that before pooling the buffer).
     pub fn invalidate(&mut self, run_start: u64) -> Option<V> {
         let dropped = self.entries.remove(&run_start).map(|s| s.value);
         if dropped.is_some() {
             self.stats.invalidations += 1;
         }
         dropped
-    }
-
-    /// Iterate over the resident values in unspecified order. Used by
-    /// debug assertions to prove a recycled buffer is not simultaneously
-    /// cache-resident, and by tests.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.entries.values().map(|s| &s.value)
     }
 
     /// Current resident entries.
@@ -257,29 +245,6 @@ mod tests {
         sum.merge(&b);
         assert_eq!(sum, CacheStats { hits: 10, misses: 16, evictions: 1, invalidations: 6 });
         assert!((sum.hit_rate() - 10.0 / 26.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn invalidate_hands_back_sole_ownership() {
-        // Regression test for the recycled-buffer path: the buffer
-        // returned by `invalidate` must be gone from the cache — the
-        // same allocation must never be reachable both through the
-        // cache and through the recycler's pool.
-        let mut c: RunCache<Vec<u8>> = RunCache::new(4);
-        c.insert(1, vec![0xAA; 64]);
-        c.insert(2, vec![0xBB; 64]);
-        let dropped = c.invalidate(1).expect("resident");
-        assert!(
-            c.values().all(|v| !std::ptr::eq(v.as_ptr(), dropped.as_ptr())),
-            "invalidated buffer still reachable through the cache"
-        );
-        assert!(c.lookup(1).is_none());
-        // And the displaced value of an insert obeys the same contract.
-        c.insert(3, vec![0xCC; 64]);
-        c.insert(4, vec![0xDD; 64]);
-        c.insert(6, vec![0xFF; 64]);
-        let evicted = c.insert(5, vec![0xEE; 64]).expect("capacity eviction");
-        assert!(c.values().all(|v| !std::ptr::eq(v.as_ptr(), evicted.as_ptr())));
     }
 
     #[test]

@@ -18,6 +18,8 @@ use edc_flash::{ArrayError, FaultError};
 pub enum WriteError {
     /// Offset or length not 4 KiB-aligned / not whole blocks.
     Unaligned,
+    /// `offset + len` does not fit the 64-bit byte address space.
+    OutOfRange,
     /// The store is powered off after a simulated power cut; call
     /// [`crate::pipeline::EdcPipeline::recover`] first.
     Offline,
@@ -36,6 +38,7 @@ impl fmt::Display for WriteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WriteError::Unaligned => write!(f, "write must be whole 4 KiB-aligned blocks"),
+            WriteError::OutOfRange => write!(f, "write runs past the end of the address space"),
             WriteError::Offline => {
                 write!(f, "store is powered off after a power cut; recover() first")
             }

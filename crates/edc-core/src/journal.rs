@@ -375,7 +375,7 @@ mod tests {
         assert_eq!(r.entries, vec![original, recompressed, demoted]);
         // Replaying through a BlockMap (what recovery does) leaves only
         // the last rewrite live.
-        let map = crate::mapping::BlockMap::new();
+        let mut map = crate::mapping::BlockMap::new();
         let mut evicted = Vec::new();
         for e in &r.entries {
             evicted.extend(map.insert_run(*e));

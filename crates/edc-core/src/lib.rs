@@ -21,7 +21,7 @@
 //! * a [`allocator::QuantizedAllocator`] places
 //!   compressed data in 25/50/75/100 % quanta (paper Fig. 5) backed by a
 //!   segregated-fit [`slots::SlotStore`],
-//! * a sharded [`mapping::BlockMap`] tracks per-block LBA, size
+//! * a [`mapping::BlockMap`] tracks per-block LBA, size
 //!   and the 3-bit codec tag.
 //!
 //! Two front-ends expose the pipeline:

@@ -7,15 +7,13 @@
 //! merged run it belongs to — a read of any block in the run fetches and
 //! decompresses the whole run.
 //!
-//! The table is sharded behind [`std::sync::Mutex`]es so the parallel
-//! compression engine ([`crate::parallel`]) can update it concurrently.
+//! The table is a plain map with a single owner: an
+//! [`EdcPipeline`](crate::pipeline::EdcPipeline) is `&mut self`, and a
+//! sharded store puts each pipeline — table included — behind its shard's
+//! one lock, so the table itself takes none.
 
 use edc_compress::CodecId;
 use std::collections::HashMap;
-use std::sync::Mutex;
-
-/// Number of shards (power of two).
-const SHARDS: usize = 16;
 
 /// Per-block mapping entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,135 +67,84 @@ impl MappingEntry {
     }
 }
 
-/// Sharded logical-block → mapping-entry table.
-#[derive(Debug)]
+/// Logical-block → mapping-entry table.
+#[derive(Debug, Default)]
 pub struct BlockMap {
-    shards: Vec<Mutex<HashMap<u64, MappingEntry>>>,
-}
-
-impl Default for BlockMap {
-    fn default() -> Self {
-        Self::new()
-    }
+    blocks: HashMap<u64, MappingEntry>,
 }
 
 impl BlockMap {
     /// Create an empty table.
     pub fn new() -> Self {
-        BlockMap { shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
-    }
-
-    #[inline]
-    fn shard(&self, block: u64) -> &Mutex<HashMap<u64, MappingEntry>> {
-        // Spread consecutive blocks across shards.
-        &self.shards[(block as usize) & (SHARDS - 1)]
+        Self::default()
     }
 
     /// Look up a block.
     pub fn get(&self, block: u64) -> Option<MappingEntry> {
-        self.shard(block).lock().expect("shard poisoned").get(&block).copied()
+        self.blocks.get(&block).copied()
     }
 
     /// Insert entries for every block of a merged run; returns the evicted
     /// old entries (for space reclamation accounting).
-    pub fn insert_run(&self, entry: MappingEntry) -> Vec<MappingEntry> {
-        let mut evicted = Vec::new();
-        for b in entry.run_start..entry.run_start + u64::from(entry.run_blocks) {
-            if let Some(old) = self.shard(b).lock().expect("shard poisoned").insert(b, entry) {
-                evicted.push(old);
-            }
-        }
-        evicted
+    pub fn insert_run(&mut self, entry: MappingEntry) -> Vec<MappingEntry> {
+        (entry.run_start..entry.run_start + u64::from(entry.run_blocks))
+            .filter_map(|b| self.blocks.insert(b, entry))
+            .collect()
     }
 
     /// Remove one block's entry (invalidation).
-    pub fn remove(&self, block: u64) -> Option<MappingEntry> {
-        self.shard(block).lock().expect("shard poisoned").remove(&block)
+    pub fn remove(&mut self, block: u64) -> Option<MappingEntry> {
+        self.blocks.remove(&block)
     }
 
-    /// Take a consistent point-in-time snapshot of the whole table.
-    ///
-    /// Every shard guard is acquired *before* any shard is read, so the
-    /// result reflects one instant: no concurrent `insert_run`/`remove`
-    /// can land between reading shard 0 and shard 15. The former `len()` /
-    /// `live_runs()` implementations locked shards one at a time, which
-    /// could under- or over-count while writers were active; both are now
-    /// views over this snapshot.
-    pub fn snapshot(&self) -> MapSnapshot {
-        let guards: Vec<_> =
-            self.shards.iter().map(|s| s.lock().expect("shard poisoned")).collect();
-        // One representative entry per device offset. With dedup a shared
-        // offset has entries under several run_starts; keep the smallest
-        // so the representative is deterministic (shard iteration order
-        // is not), for reproducible scrubs and fault injection.
-        let mut best: HashMap<u64, MappingEntry> = HashMap::new();
-        let mut blocks = 0usize;
-        for guard in &guards {
-            blocks += guard.len();
-            for entry in guard.values() {
-                best.entry(entry.device_offset)
-                    .and_modify(|e| {
-                        if entry.run_start < e.run_start {
-                            *e = *entry;
-                        }
-                    })
-                    .or_insert(*entry);
-            }
-        }
-        let mut runs: Vec<MappingEntry> = best.into_values().collect();
-        runs.sort_by_key(|e| e.device_offset);
-        MapSnapshot { blocks, runs }
-    }
-
-    /// Number of mapped blocks (consistent across shards).
+    /// Number of mapped blocks.
     pub fn len(&self) -> usize {
-        self.snapshot().blocks
+        self.blocks.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.blocks.is_empty()
     }
 
-    /// Snapshot every live *run* (deduplicated by device offset): the unit
-    /// the scrubber walks. Blocks of one merged run share a single entry
-    /// value, so one representative per `device_offset` suffices — for a
-    /// dedup-shared offset, the referrer with the smallest `run_start`.
+    /// Every live *run* (deduplicated by device offset), sorted by device
+    /// offset: the unit the scrubber walks. Blocks of one merged run share
+    /// a single entry value, so one representative per `device_offset`
+    /// suffices — for a dedup-shared offset, the referrer with the
+    /// smallest `run_start`, so the representative is deterministic (hash
+    /// iteration order is not) for reproducible scrubs and fault injection.
     pub fn live_runs(&self) -> Vec<MappingEntry> {
-        self.snapshot().runs
+        let mut best: HashMap<u64, MappingEntry> = HashMap::new();
+        for entry in self.blocks.values() {
+            best.entry(entry.device_offset)
+                .and_modify(|e| {
+                    if entry.run_start < e.run_start {
+                        *e = *entry;
+                    }
+                })
+                .or_insert(*entry);
+        }
+        let mut runs: Vec<MappingEntry> = best.into_values().collect();
+        runs.sort_by_key(|e| e.device_offset);
+        runs
     }
 
     /// Every live `(device_offset, run_start)` referrer with its count of
-    /// live blocks, sorted by `(device_offset, run_start)`. All shard
-    /// guards are held, so the view is one consistent instant. This is
-    /// the mapping side of the dedup refcount cross-check: the ledger
-    /// must list exactly these referrers with exactly these counts.
+    /// live blocks, sorted by `(device_offset, run_start)`. This is the
+    /// mapping side of the dedup refcount cross-check: the ledger must
+    /// list exactly these referrers with exactly these counts.
     pub fn referrer_counts(&self) -> Vec<(MappingEntry, u32)> {
-        let guards: Vec<_> =
-            self.shards.iter().map(|s| s.lock().expect("shard poisoned")).collect();
         let mut counts: HashMap<(u64, u64), (MappingEntry, u32)> = HashMap::new();
-        for guard in &guards {
-            for entry in guard.values() {
-                counts
-                    .entry((entry.device_offset, entry.run_start))
-                    .and_modify(|c| c.1 += 1)
-                    .or_insert((*entry, 1));
-            }
+        for entry in self.blocks.values() {
+            counts
+                .entry((entry.device_offset, entry.run_start))
+                .and_modify(|c| c.1 += 1)
+                .or_insert((*entry, 1));
         }
         let mut out: Vec<(MappingEntry, u32)> = counts.into_values().collect();
         out.sort_by_key(|(e, _)| (e.device_offset, e.run_start));
         out
     }
-}
-
-/// A consistent point-in-time view of a [`BlockMap`], taken with all shard
-/// locks held simultaneously (see [`BlockMap::snapshot`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MapSnapshot {
-    /// Total mapped 4 KiB blocks at the snapshot instant.
-    pub blocks: usize,
-    /// Live runs deduplicated by device offset, sorted by device offset.
-    pub runs: Vec<MappingEntry>,
 }
 
 #[cfg(test)]
@@ -219,7 +166,7 @@ mod tests {
 
     #[test]
     fn insert_and_get_single_block() {
-        let m = BlockMap::new();
+        let mut m = BlockMap::new();
         m.insert_run(entry(7, 1, CodecId::Lzf));
         let e = m.get(7).unwrap();
         assert_eq!(e.tag, CodecId::Lzf);
@@ -229,7 +176,7 @@ mod tests {
 
     #[test]
     fn run_entries_cover_every_block() {
-        let m = BlockMap::new();
+        let mut m = BlockMap::new();
         m.insert_run(entry(100, 16, CodecId::Deflate));
         for b in 100..116 {
             let e = m.get(b).unwrap();
@@ -243,7 +190,7 @@ mod tests {
 
     #[test]
     fn overwrite_returns_evicted_entries() {
-        let m = BlockMap::new();
+        let mut m = BlockMap::new();
         m.insert_run(entry(0, 4, CodecId::Lzf));
         let evicted = m.insert_run(entry(2, 4, CodecId::Deflate));
         assert_eq!(evicted.len(), 2); // blocks 2 and 3 were mapped
@@ -254,7 +201,7 @@ mod tests {
 
     #[test]
     fn remove_invalidates() {
-        let m = BlockMap::new();
+        let mut m = BlockMap::new();
         m.insert_run(entry(5, 1, CodecId::Bwt));
         assert!(m.remove(5).is_some());
         assert!(m.remove(5).is_none());
@@ -302,7 +249,7 @@ mod tests {
 
     #[test]
     fn live_runs_dedup_by_device_offset() {
-        let m = BlockMap::new();
+        let mut m = BlockMap::new();
         m.insert_run(entry(0, 4, CodecId::Lzf)); // one run, 4 block entries
         m.insert_run(entry(10, 2, CodecId::Deflate));
         let runs = m.live_runs();
@@ -314,10 +261,10 @@ mod tests {
 
     #[test]
     fn shared_offset_representative_is_smallest_run_start() {
-        // Two referrers of one device offset (a dedup share): the
-        // snapshot keeps exactly one entry for the offset, and it is the
-        // smallest run_start, deterministically.
-        let m = BlockMap::new();
+        // Two referrers of one device offset (a dedup share): exactly one
+        // entry is kept for the offset, and it is the smallest run_start,
+        // deterministically.
+        let mut m = BlockMap::new();
         let a = MappingEntry { device_offset: 9999, ..entry(40, 4, CodecId::Lzf) };
         let b = MappingEntry { device_offset: 9999, ..entry(8, 4, CodecId::Lzf) };
         m.insert_run(a);
@@ -330,7 +277,7 @@ mod tests {
 
     #[test]
     fn referrer_counts_track_live_blocks_per_referrer() {
-        let m = BlockMap::new();
+        let mut m = BlockMap::new();
         let a = MappingEntry { device_offset: 777, ..entry(0, 4, CodecId::Lzf) };
         let b = MappingEntry { device_offset: 777, ..entry(100, 4, CodecId::Lzf) };
         m.insert_run(a);
@@ -344,61 +291,5 @@ mod tests {
             .map(|(e, n)| (e.run_start, *n))
             .collect();
         assert_eq!(at_777, vec![(0, 4), (100, 3)]);
-    }
-
-    #[test]
-    fn snapshot_is_internally_consistent_under_writers() {
-        // Single-block runs with unique device offsets: at any one instant
-        // the mapped-block count must equal the deduplicated run count.
-        // Computing the two in separate sequential-locking passes (the old
-        // len()/live_runs() implementations) can transiently disagree while
-        // writers are active; the all-guards-held snapshot cannot.
-        let m = std::sync::Arc::new(BlockMap::new());
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writers: Vec<_> = (0..3u64)
-            .map(|t| {
-                let m = m.clone();
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    let mut i = 0u64;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        m.insert_run(entry(t * 1_000_000 + i, 1, CodecId::Lzf));
-                        i += 1;
-                    }
-                })
-            })
-            .collect();
-        for _ in 0..200 {
-            let snap = m.snapshot();
-            assert_eq!(snap.blocks, snap.runs.len());
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for w in writers {
-            w.join().unwrap();
-        }
-        let snap = m.snapshot();
-        assert_eq!(snap.blocks, m.len());
-        assert_eq!(snap.runs, m.live_runs());
-    }
-
-    #[test]
-    fn concurrent_access_is_safe() {
-        let m = std::sync::Arc::new(BlockMap::new());
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let m = m.clone();
-                std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        let b = t * 1000 + i;
-                        m.insert_run(entry(b, 1, CodecId::Lzf));
-                        assert!(m.get(b).is_some());
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.len(), 4000);
     }
 }

@@ -190,6 +190,9 @@ pub enum ReadError {
     },
     /// Read is not 4 KiB-aligned.
     Unaligned,
+    /// `offset + len` does not fit the 64-bit byte address space, or one
+    /// read asks for more bytes than the store's device holds.
+    OutOfRange,
     /// Transient read faults exhausted the plan's retry budget.
     Unrecoverable {
         /// First logical block of the unreadable run.
@@ -208,6 +211,9 @@ impl std::fmt::Display for ReadError {
                 write!(f, "checksum mismatch in run starting at block {run_start}")
             }
             ReadError::Unaligned => write!(f, "read must be 4 KiB aligned"),
+            ReadError::OutOfRange => {
+                write!(f, "read runs past the address space or exceeds the device capacity")
+            }
             ReadError::Unrecoverable { run_start } => {
                 write!(f, "run starting at block {run_start} unreadable after retries")
             }
@@ -472,35 +478,21 @@ impl EdcPipeline {
     /// are bit-identical to issuing the same writes one call each.
     ///
     /// The whole batch is validated before any write is accepted, so an
-    /// alignment error leaves the store untouched.
+    /// alignment or range error leaves the store untouched.
     pub fn write_batch(&mut self, writes: &[BatchWrite<'_>]) -> Result<Vec<WriteResult>, EdcError> {
-        Ok(self.write_batch_indexed(writes)?.into_iter().map(|(_, r)| r).collect())
-    }
-
-    /// [`EdcPipeline::write_batch`] with provenance: every flushed run is
-    /// paired with the index of the batch entry whose acceptance sealed
-    /// it, so a caller multiplexing independent submitters over one batch
-    /// (the ring front-end) can attribute each result to the submission
-    /// that caused it. Dedup chunking may split one sealed run into
-    /// several results; all of them carry the sealing entry's index — a
-    /// run buffered before the call belongs to the entry that seals it.
-    /// Results come back in seal order, exactly as
-    /// [`EdcPipeline::write_batch`] returns them.
-    pub fn write_batch_indexed(
-        &mut self,
-        writes: &[BatchWrite<'_>],
-    ) -> Result<Vec<(usize, WriteResult)>, EdcError> {
         self.check_powered()?;
         for w in writes {
-            if !w.offset.is_multiple_of(BLOCK_BYTES)
-                || w.data.is_empty()
-                || !(w.data.len() as u64).is_multiple_of(BLOCK_BYTES)
+            let len = w.data.len() as u64;
+            if !w.offset.is_multiple_of(BLOCK_BYTES) || len == 0 || !len.is_multiple_of(BLOCK_BYTES)
             {
                 return Err(WriteError::Unaligned.into());
             }
+            if w.offset.checked_add(len).is_none() {
+                return Err(WriteError::OutOfRange.into());
+            }
         }
         let mut results = Vec::new();
-        for (i, w) in writes.iter().enumerate() {
+        for w in writes {
             let start = w.offset / BLOCK_BYTES;
             let blocks = (w.data.len() as u64 / BLOCK_BYTES) as u32;
             self.monitor.record(&Request {
@@ -514,7 +506,7 @@ impl EdcPipeline {
             // A failed store (a power cut) still leaves this write
             // buffered, in step with the detector that just accepted it.
             let stored = match self.sd.on_write(start, blocks, w.now_ns) {
-                Some(run) => self.store_run(w.now_ns, run, |r| results.push((i, r))),
+                Some(run) => self.store_run(w.now_ns, run, |r| results.push(r)),
                 None => Ok(()),
             };
             self.pending.extend_from_slice(w.data);
@@ -544,6 +536,11 @@ impl EdcPipeline {
         Ok(results)
     }
 
+    /// Size of the device image: the most one read may ask for.
+    pub(crate) fn capacity_bytes(&self) -> u64 {
+        self.device.len() as u64
+    }
+
     /// Typed guard used by every entry point: a store that lost power
     /// rejects I/O until [`EdcPipeline::recover`] runs.
     fn check_powered(&self) -> Result<(), EdcError> {
@@ -564,10 +561,14 @@ impl EdcPipeline {
     }
 
     /// Read `len` bytes at `offset` (both 4 KiB-aligned). Unwritten blocks
-    /// read as zeroes, as on a real device.
+    /// read as zeroes, as on a real device. One read may ask for at most
+    /// the device's capacity.
     pub fn read(&mut self, now_ns: u64, offset: u64, len: u64) -> Result<Vec<u8>, ReadError> {
         if !offset.is_multiple_of(BLOCK_BYTES) || !len.is_multiple_of(BLOCK_BYTES) {
             return Err(ReadError::Unaligned);
+        }
+        if offset.checked_add(len).is_none() || len > self.capacity_bytes() {
+            return Err(ReadError::OutOfRange);
         }
         if !self.faults.powered() {
             return Err(ReadError::Offline);
@@ -598,12 +599,8 @@ impl EdcPipeline {
         //
         // Write-through runs are copied straight out of the device image
         // (their payload IS the raw bytes — no decompression, no cache).
-        // Compressed runs are served from the decompressed-run LRU when
-        // possible; when the cache is disabled, a local memo still avoids
-        // re-decoding a run shared by consecutive blocks.
+        // Compressed runs are served from the decompressed-run LRU.
         let mut verified_off = u64::MAX; // write-through run already checksummed
-        let mut local_off = u64::MAX; // run held in `local_run` (cache disabled)
-        let mut local_run: Vec<u8> = Vec::new();
         for b in start..start + blocks {
             let Some(entry) = self.map.get(b) else {
                 continue;
@@ -612,19 +609,16 @@ impl EdcPipeline {
             let dst = ((b - start) * BLOCK_BYTES) as usize;
             if entry.tag == CodecId::None {
                 if verified_off != entry.device_offset {
-                    self.fault_device_access(&entry)?;
-                    if let Err(e) = self.verify_checksum(&entry) {
-                        // Parity reconstruction first; failing that, a
-                        // write-through payload IS the raw data, so a
+                    match self.fetch_run(&entry) {
+                        // A write-through payload IS the raw data, so a
                         // campaign may opt in to serving it despite the
                         // mismatch instead of failing the read.
-                        if self.try_parity_repair(&entry) {
-                            // repaired in place; payload now verifies
-                        } else if self.faults.plan().allow_degraded_reads {
+                        Err(ReadError::ChecksumMismatch { .. })
+                            if self.faults.plan().allow_degraded_reads =>
+                        {
                             self.degraded_reads += 1;
-                        } else {
-                            return Err(e);
                         }
+                        fetched => fetched?,
                     }
                     verified_off = entry.device_offset;
                 }
@@ -632,59 +626,30 @@ impl EdcPipeline {
                 out[dst..dst + bb].copy_from_slice(&self.device[at..at + bb]);
                 continue;
             }
-            if local_off == entry.device_offset {
-                out[dst..dst + bb].copy_from_slice(&local_run[src..src + bb]);
-                continue;
-            }
             if let Some(run) = self.cache.lookup(entry.device_offset) {
                 out[dst..dst + bb].copy_from_slice(&run[src..src + bb]);
                 continue;
             }
-            // Decompress into a recycled buffer; on a cache insert the
-            // displaced run's buffer comes back for the next miss, so a
-            // warm read path stops allocating entirely.
+            // Decompress into a recycled buffer; the buffer the cache
+            // insert displaces (the run itself when the cache is off) comes
+            // back for the next miss, so a warm read path stops allocating.
             let mut run = self.read_buf_pool.pop().unwrap_or_default();
-            if let Err(e) = self.decompress_run_into(&entry, &mut run) {
+            if let Err(e) = self.run_raw_bytes(&entry, &mut run) {
                 self.recycle_read_buf(run);
                 return Err(e);
             }
             out[dst..dst + bb].copy_from_slice(&run[src..src + bb]);
-            if self.cache.enabled() {
-                if let Some(displaced) = self.cache.insert(entry.device_offset, run) {
-                    self.recycle_read_buf(displaced);
-                }
-                local_off = u64::MAX;
-            } else {
-                local_off = entry.device_offset;
-                self.recycle_read_buf(std::mem::replace(&mut local_run, run));
+            if let Some(displaced) = self.cache.insert(entry.device_offset, run) {
+                self.recycle_read_buf(displaced);
             }
         }
-        self.recycle_read_buf(local_run);
         Ok(out)
     }
 
     /// Return a spent decompression buffer to the bounded read pool.
-    ///
-    /// Pool invariant: every pooled buffer is exclusively owned — the
-    /// same allocation must never simultaneously sit in the pool and in
-    /// the read cache (or twice in the pool). `RunCache::invalidate` and
-    /// `RunCache::insert` uphold this by *moving* the buffer out of the
-    /// cache before it reaches here; the debug assertion pins the
-    /// contract so a future "peek then recycle" refactor cannot silently
-    /// create two owners of one run's bytes. (Live `Vec` allocations
-    /// with nonzero capacity have distinct base pointers, so pointer
-    /// identity is a sound aliasing check.)
     fn recycle_read_buf(&mut self, mut buf: Vec<u8>) {
         const POOL_RUNS: usize = 8;
         if self.read_buf_pool.len() < POOL_RUNS && buf.capacity() > 0 {
-            debug_assert!(
-                self.read_buf_pool.iter().all(|b| !std::ptr::eq(b.as_ptr(), buf.as_ptr())),
-                "recycled buffer is already in the read pool"
-            );
-            debug_assert!(
-                self.cache.values().all(|v| !std::ptr::eq(v.as_ptr(), buf.as_ptr())),
-                "recycled buffer is still resident in the read cache"
-            );
             buf.clear();
             self.read_buf_pool.push(buf);
         }
@@ -718,49 +683,61 @@ impl EdcPipeline {
         Ok(())
     }
 
+    /// The stored payload bytes of `entry`'s run in the device image.
+    fn payload(&self, entry: &MappingEntry) -> &[u8] {
+        let off = entry.device_offset as usize;
+        &self.device[off..off + entry.compressed_bytes as usize]
+    }
+
     /// Check a stored payload against its mapping-entry checksum. Catches
     /// silent corruption that would otherwise decode "successfully" to
     /// wrong bytes (or, written through, be returned verbatim).
     fn verify_checksum(&self, entry: &MappingEntry) -> Result<(), ReadError> {
-        let off = entry.device_offset as usize;
-        let payload = &self.device[off..off + entry.compressed_bytes as usize];
-        if checksum64(payload, entry.run_start) != entry.checksum {
+        if checksum64(self.payload(entry), entry.run_start) != entry.checksum {
             return Err(ReadError::ChecksumMismatch { run_start: entry.run_start });
         }
         Ok(())
     }
 
-    /// Verify and decompress a compressed run's payload from the device
-    /// image into `out` (cleared first — pass a pooled buffer to skip the
-    /// allocation). Callers handle `CodecId::None` themselves (the payload
-    /// is the raw data; copying it out wholesale would be a wasted
-    /// allocation). A compressed run's checksum mismatch is always a hard
-    /// error — unlike a write-through run there is no raw payload to
-    /// degrade to.
-    fn decompress_run_into(
-        &mut self,
-        entry: &MappingEntry,
-        out: &mut Vec<u8>,
-    ) -> Result<(), ReadError> {
+    /// The one modelled device fetch: draw the fault plan's read decisions,
+    /// check the payload against its checksum and, on a mismatch, let a run
+    /// carrying parity rebuild a single rotted page right now instead of
+    /// failing. On `Ok` the payload in the device image verifies.
+    fn fetch_run(&mut self, entry: &MappingEntry) -> Result<(), ReadError> {
         self.fault_device_access(entry)?;
-        if let Err(e) = self.verify_checksum(entry) {
-            // Foreground read-repair: a run carrying parity can rebuild a
-            // single rotted page right now instead of failing the read.
-            if !self.try_parity_repair(entry) {
-                return Err(e);
-            }
+        match self.verify_checksum(entry) {
+            Err(e) if !self.try_parity_repair(entry) => Err(e),
+            _ => Ok(()),
         }
-        self.decode_payload(entry, out)
     }
 
-    /// Decode a compressed run's (already verified) payload straight from
-    /// the device image — no fault injection, no checksum, so the scrubber
-    /// can audit a run without re-drawing from the fault stream.
-    fn decode_payload(&self, entry: &MappingEntry, out: &mut Vec<u8>) -> Result<(), ReadError> {
-        let off = entry.device_offset as usize;
-        let payload = &self.device[off..off + entry.compressed_bytes as usize];
+    /// Fetch a live run's *raw* (decompressed) bytes into `out` (cleared
+    /// first — pass a pooled buffer to skip the allocation): the payload
+    /// itself for a write-through run, a decode for a compressed one,
+    /// whose checksum mismatch is always a hard error — there is no raw
+    /// payload to degrade to.
+    fn run_raw_bytes(&mut self, entry: &MappingEntry, out: &mut Vec<u8>) -> Result<(), ReadError> {
+        self.fetch_run(entry)?;
+        let payload = self.payload(entry);
+        if entry.tag != CodecId::None {
+            return Self::decode_payload(entry, payload, out);
+        }
+        out.clear();
+        out.extend_from_slice(payload);
+        Ok(())
+    }
+
+    /// Decode a compressed run's (already verified) `payload` — no fault
+    /// injection, no checksum, so the scrubber can audit a run without
+    /// re-drawing from the fault stream and parity repair can try a
+    /// candidate that is not in the device image yet.
+    fn decode_payload(
+        entry: &MappingEntry,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), ReadError> {
         let original = (u64::from(entry.run_blocks) * BLOCK_BYTES) as usize;
-        // A `None` tag cannot reach here (the caller branched on it), but
+        // A `None` tag cannot reach here (the callers branch on it), but
         // the typed path keeps this panic-free regardless.
         let codec = CodecRegistry::get(entry.tag)
             .map_err(|_| ReadError::Unrecoverable { run_start: entry.run_start })?;
@@ -783,7 +760,7 @@ impl EdcPipeline {
         let off = entry.device_offset as usize;
         let plen = entry.compressed_bytes as usize;
         let parity_at = off + entry.stored_bytes as usize - bb;
-        let mut candidate = self.device[off..off + plen].to_vec();
+        let mut candidate = self.payload(entry).to_vec();
         let mut rebuilt = [0u8; BLOCK_BYTES as usize];
         let mut damaged = [0u8; BLOCK_BYTES as usize];
         let mut decoded = self.read_buf_pool.pop().unwrap_or_default();
@@ -806,10 +783,7 @@ impl EdcPipeline {
             let plausible = checksum64(&candidate, entry.run_start) == entry.checksum;
             let decodes = plausible
                 && (entry.tag == CodecId::None
-                    || CodecRegistry::get(entry.tag).is_ok_and(|codec| {
-                        let original = (u64::from(entry.run_blocks) * BLOCK_BYTES) as usize;
-                        codec.decompress_into(&candidate, original, &mut decoded).is_ok()
-                    }));
+                    || Self::decode_payload(entry, &candidate, &mut decoded).is_ok());
             if decodes {
                 self.device[off + lo..off + hi].copy_from_slice(&candidate[lo..hi]);
                 repaired = true;
@@ -1043,10 +1017,8 @@ impl EdcPipeline {
         run_start: u64,
         hash: u64,
     ) -> Result<(), EdcError> {
-        let off = target.device_offset as usize;
-        let payload = &self.device[off..off + target.compressed_bytes as usize];
-        let sharer =
-            MappingEntry { run_start, checksum: checksum64(payload, run_start), ..*target };
+        let checksum = checksum64(self.payload(target), run_start);
+        let sharer = MappingEntry { run_start, checksum, ..*target };
         self.slots.add_run_refs(target.device_offset, target.run_blocks);
         self.faults.program_page().map_err(fault_to_edc)?;
         self.journal.append_ref(&sharer, hash);
@@ -1081,15 +1053,14 @@ impl EdcPipeline {
         raw: &[u8],
         scratch: &mut Vec<u8>,
     ) -> bool {
-        let off = template.device_offset as usize;
-        let payload = &self.device[off..off + template.compressed_bytes as usize];
+        let payload = self.payload(template);
         if checksum64(payload, template.run_start) != template.checksum {
             return false;
         }
         if template.tag == CodecId::None {
             return payload == raw;
         }
-        self.decode_payload(template, scratch).is_ok() && scratch[..] == raw[..]
+        Self::decode_payload(template, payload, scratch).is_ok() && scratch[..] == raw[..]
     }
 
     /// Rebuild the store's volatile state from the durable journal after
@@ -1253,6 +1224,7 @@ impl EdcPipeline {
     pub fn scrub(&mut self) -> Result<ScrubReport, EdcError> {
         self.check_powered()?;
         let mut report = ScrubReport::default();
+        let mut decoded = self.read_buf_pool.pop().unwrap_or_default();
         for entry in self.map.live_runs() {
             report.scanned += 1;
             if self.fault_device_access(&entry).is_err() {
@@ -1261,8 +1233,7 @@ impl EdcPipeline {
                 report.unrecoverable += 1;
                 continue;
             }
-            let healthy = self.run_is_healthy(&entry);
-            if healthy {
+            if self.run_is_healthy(&entry, &mut decoded) {
                 if self.parity_page_fresh(&entry) {
                     report.clean += 1;
                 } else {
@@ -1277,11 +1248,8 @@ impl EdcPipeline {
                 // superseded, in which case relocation is unsafe and the
                 // in-place repair alone has to carry the run.
                 if let Some(referrers) = self.relocation_referrers(&entry) {
-                    let off = entry.device_offset as usize;
                     let mut payload = self.read_buf_pool.pop().unwrap_or_default();
-                    payload.extend_from_slice(
-                        &self.device[off..off + entry.compressed_bytes as usize],
-                    );
+                    payload.extend_from_slice(self.payload(&entry));
                     let res = self.commit_run(
                         entry.tag,
                         entry.run_start,
@@ -1298,23 +1266,19 @@ impl EdcPipeline {
                 report.unrecoverable += 1;
             }
         }
+        self.recycle_read_buf(decoded);
         Ok(report)
     }
 
-    /// Scrub's audit of one run: checksum, plus a full decode for
-    /// compressed runs (a checksum can't catch a payload that was stored
-    /// corrupt — decode proves the bytes still expand).
-    fn run_is_healthy(&mut self, entry: &MappingEntry) -> bool {
-        if self.verify_checksum(entry).is_err() {
-            return false;
-        }
-        if entry.tag == CodecId::None {
-            return true;
-        }
-        let mut buf = self.read_buf_pool.pop().unwrap_or_default();
-        let ok = self.decode_payload(entry, &mut buf).is_ok();
-        self.recycle_read_buf(buf);
-        ok
+    /// The audit of one run that [`EdcPipeline::scrub`] and
+    /// [`EdcPipeline::verify`] share: checksum, plus a full decode into
+    /// `scratch` for compressed runs (a checksum can't catch a payload
+    /// that was stored corrupt — decode proves the bytes still expand).
+    /// Draws nothing from the fault stream.
+    fn run_is_healthy(&self, entry: &MappingEntry, scratch: &mut Vec<u8>) -> bool {
+        self.verify_checksum(entry).is_ok()
+            && (entry.tag == CodecId::None
+                || Self::decode_payload(entry, self.payload(entry), scratch).is_ok())
     }
 
     /// Whether a run's stored parity page still equals the XOR of its
@@ -1324,10 +1288,8 @@ impl EdcPipeline {
             return true;
         }
         let bb = BLOCK_BYTES as usize;
-        let off = entry.device_offset as usize;
-        let want = xor_parity(&self.device[off..off + entry.compressed_bytes as usize]);
-        let at = off + entry.stored_bytes as usize - bb;
-        self.device[at..at + bb] == want[..]
+        let at = (entry.device_offset + entry.stored_bytes) as usize - bb;
+        self.device[at..at + bb] == xor_parity(self.payload(entry))[..]
     }
 
     /// Recompute a run's parity page from its (healthy) payload, in its
@@ -1336,9 +1298,8 @@ impl EdcPipeline {
     /// journal record is needed.
     fn refresh_parity_page(&mut self, entry: &MappingEntry) {
         let bb = BLOCK_BYTES as usize;
-        let off = entry.device_offset as usize;
-        let page = xor_parity(&self.device[off..off + entry.compressed_bytes as usize]);
-        let at = off + entry.stored_bytes as usize - bb;
+        let page = xor_parity(self.payload(entry));
+        let at = (entry.device_offset + entry.stored_bytes) as usize - bb;
         self.device[at..at + bb].copy_from_slice(&page);
     }
 
@@ -1449,7 +1410,7 @@ impl EdcPipeline {
                         continue;
                     };
                     let mut raw = self.read_buf_pool.pop().unwrap_or_default();
-                    if self.decompress_run_into(&entry, &mut raw).is_err() {
+                    if self.run_raw_bytes(&entry, &mut raw).is_err() {
                         self.recycle_read_buf(raw);
                         report.skipped_unreadable += 1;
                         continue;
@@ -1517,14 +1478,8 @@ impl EdcPipeline {
                     // seed the cache under the new offset so the first
                     // post-relocation read skips the (stronger, slower)
                     // decompressor.
-                    if self.cache.enabled() {
-                        if let Some(displaced) =
-                            self.cache.insert(new_entry.device_offset, raw)
-                        {
-                            self.recycle_read_buf(displaced);
-                        }
-                    } else {
-                        self.recycle_read_buf(raw);
+                    if let Some(displaced) = self.cache.insert(new_entry.device_offset, raw) {
+                        self.recycle_read_buf(displaced);
                     }
                     report.bytes_reclaimed += entry.stored_bytes - stored;
                     self.recompressed_runs += 1;
@@ -1535,24 +1490,6 @@ impl EdcPipeline {
             }
         }
         Ok(report)
-    }
-
-    /// Fetch a live run's *raw* (decompressed) bytes into `out`: the
-    /// payload itself for write-through runs, a decode for compressed
-    /// ones. Draws device-access faults like any read; used by the
-    /// background recompression pass.
-    fn run_raw_bytes(&mut self, entry: &MappingEntry, out: &mut Vec<u8>) -> Result<(), ReadError> {
-        if entry.tag != CodecId::None {
-            return self.decompress_run_into(entry, out);
-        }
-        self.fault_device_access(entry)?;
-        if self.verify_checksum(entry).is_err() && !self.try_parity_repair(entry) {
-            return Err(ReadError::ChecksumMismatch { run_start: entry.run_start });
-        }
-        out.clear();
-        let off = entry.device_offset as usize;
-        out.extend_from_slice(&self.device[off..off + entry.compressed_bytes as usize]);
-        Ok(())
     }
 
     /// The heat tracker (read-only view for tests and benchmarks).
@@ -1605,15 +1542,13 @@ impl EdcPipeline {
         self.allocator.stats()
     }
 
-    /// One consistent snapshot of every counter (the mapping figures come
-    /// from a single all-shards-locked [`BlockMap::snapshot`]).
+    /// One snapshot of every counter.
     pub fn stats(&self) -> PipelineStats {
-        let snap = self.map.snapshot();
         PipelineStats {
             logical_written: self.logical_written,
             physical_written: self.physical_written,
-            mapped_blocks: snap.blocks as u64,
-            live_runs: snap.runs.len() as u64,
+            mapped_blocks: self.map.len() as u64,
+            live_runs: self.map.live_runs().len() as u64,
             journal_records: self.journal.records(),
             journal_bytes: self.journal.len_bytes() as u64,
             degraded_reads: self.degraded_reads,
@@ -1638,11 +1573,7 @@ impl EdcPipeline {
         let mut buf = Vec::new();
         for entry in self.map.live_runs() {
             report.scanned += 1;
-            let healthy = self.verify_checksum(&entry).is_ok()
-                && (entry.tag == CodecId::None
-                    || self.decode_payload(&entry, &mut buf).is_ok())
-                && self.parity_page_fresh(&entry);
-            if healthy {
+            if self.run_is_healthy(&entry, &mut buf) && self.parity_page_fresh(&entry) {
                 report.clean += 1;
             } else {
                 report.unrecoverable += 1;
@@ -3082,30 +3013,6 @@ mod tests {
             p.stats().physical_written,
             "no chunk's allocation goes unreported"
         );
-    }
-
-    #[test]
-    fn write_batch_indexed_attributes_results_to_the_sealing_entry() {
-        let mut p = dedup_pipeline();
-        let (data, cuts) = split_run();
-        let (before, next, last) = (text_block(1), text_block(2), text_block(3));
-        // A run buffered before the call belongs to the entry that seals it.
-        assert!(p.write(0, 100 * 4096, &before).unwrap().is_empty());
-        let at = |now_ns, block: u64, data| BatchWrite { now_ns, offset: block * 4096, data };
-        let results = p
-            .write_batch_indexed(&[at(1, 0, &data), at(2, 200, &next), at(3, 300, &last)])
-            .unwrap();
-        // Seal order: the earlier run (sealed by entry 0), every chunk of
-        // the split run (entry 1), then the run entry 2 sealed.
-        let mut want = vec![(0usize, 100u64, 1u32)];
-        let mut start = 0u64;
-        for &len in &cuts {
-            want.push((1, start, len));
-            start += u64::from(len);
-        }
-        want.push((2, 200, 1));
-        let got: Vec<_> = results.iter().map(|(i, r)| (*i, r.start_block, r.blocks)).collect();
-        assert_eq!(got, want);
     }
 
     #[test]

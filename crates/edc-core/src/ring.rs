@@ -8,16 +8,14 @@
 //! codec work: callers enqueue ops on fixed-depth per-shard submission
 //! queues and immediately move on; one drainer thread per shard takes the
 //! whole queue in a single lock acquisition (a batched doorbell),
-//! dispatches it against the shard's pipeline — coalescing adjacent
-//! writes into one
-//! [`EdcPipeline::write_batch_indexed`](crate::pipeline::EdcPipeline::write_batch_indexed)
-//! call — and posts
-//! typed completion records group by group, as each lands, so waiters
-//! resubmit while the rest of the batch is still dispatching. The
-//! pipeline stores a run the moment it seals, batch or no batch: a
-//! coalesced group amortises the shard lock and the call overhead, not
-//! compression. Callers
-//! harvest completions with
+//! dispatches it against the shard's pipeline — adjacent same-kind ops
+//! grouped under one shard-lock acquisition, each op through
+//! [`Store::dispatch`] like on the blocking path — and posts typed
+//! completion records group by group, as each lands, so waiters resubmit
+//! while the rest of the batch is still dispatching. The pipeline stores
+//! a run the moment it seals, group or no group: a coalesced group
+//! amortises the shard lock and the completion post, not compression.
+//! Callers harvest completions with
 //! [`Ring::wait`] / [`Ring::try_reap`] / [`Ring::drain`]. Queue depth,
 //! not thread count, now drives device saturation: a handful of
 //! submitter threads keep every shard and its dwell-modelled media busy.
@@ -39,21 +37,23 @@
 //! like the blocking sharded front-end. Ops are validated at submission:
 //! only data-plane ops ([`Op::Write`], [`Op::Read`]) whose footprint
 //! lies within a single extent (hence a single shard) are accepted;
-//! control-plane ops stay on the blocking [`Store`](crate::store::Store)
+//! control-plane ops stay on the blocking [`Store`]
 //! surface, to be used while the ring is quiescent.
 //!
 //! ## Determinism and record/replay
 //!
-//! A drainer serializes its shard's ops in submission order, and ops on
-//! different shards touch disjoint state, so any interleaving of drains
-//! produces the same per-shard state trajectory as dispatching the ops
-//! one at a time — ring reads are bit-identical to the blocking path's,
-//! including under injected faults and mid-drain power cuts
-//! (`tests/proptest_ring.rs` proves it). [`Ring::serve_recorded`] wires a
-//! [`Recorder`] into the drainers: every op is dispatched individually
-//! (no coalescing, so error attribution under power cuts matches the
-//! serial path exactly) and recorded in drain order, yielding a `.edcrr`
-//! log that replays bit-exactly through the blocking `Store` path.
+//! A drainer serializes its shard's ops in submission order and turns
+//! each into a call at the one place the blocking path does —
+//! [`Store::dispatch`] on the shard's pipeline — and ops on different
+//! shards touch disjoint state, so any interleaving of drains produces
+//! the same per-shard state trajectory and the same per-op outputs as
+//! dispatching the ops one at a time: ring completions are bit-identical
+//! to the blocking path's, writes and typed errors included, under
+//! injected faults and mid-drain power cuts (`tests/proptest_ring.rs`
+//! proves it). [`Ring::serve_recorded`] wires a [`Recorder`] into the
+//! drainers: the same grouping, with every op also recorded in drain
+//! order, yielding a `.edcrr` log that replays bit-exactly through the
+//! blocking `Store` path.
 //!
 //! ## Cooperative draining
 //!
@@ -67,11 +67,10 @@
 //! would starve its other in-flight ops, so deep waiters park and the
 //! drainers do all the work.
 
-use crate::pipeline::{BatchWrite, WriteResult};
 use crate::record::Recorder;
 use crate::scheme::BLOCK_BYTES;
 use crate::shard::ShardedPipeline;
-use crate::store::{Op, OpOutput};
+use crate::store::{Op, OpOutput, Store};
 use crate::telemetry::{Sample, TieredSeries};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -79,11 +78,11 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Cap on how many adjacent writes one dispatch group coalesces. A group
-/// holds its shard for the whole `write_batch` call and its riders'
+/// Cap on how many adjacent same-kind ops one dispatch group coalesces. A
+/// group holds its shard until its last op is dispatched and its riders'
 /// completions post only when the group lands, so the cap bounds
 /// completion staleness under deep queues while still amortizing the
-/// shard lock and call overhead across many writes.
+/// shard lock and the completion post across many ops.
 const MAX_COALESCE: usize = 16;
 
 /// Configuration of a [`Ring`].
@@ -123,6 +122,8 @@ pub enum RingError {
     /// Only data-plane ops (`Write`, `Read`) ride the ring; the named
     /// control-plane op belongs on the blocking `Store` surface.
     Unsupported(&'static str),
+    /// `offset + len` does not fit the 64-bit byte address space.
+    OutOfRange,
     /// The ticket names a completion that was never issued or was
     /// already reaped.
     UnknownTicket,
@@ -140,6 +141,7 @@ impl std::fmt::Display for RingError {
             RingError::Unsupported(kind) => {
                 write!(f, "op `{kind}` is control-plane; use the blocking Store surface")
             }
+            RingError::OutOfRange => write!(f, "op runs past the end of the address space"),
             RingError::UnknownTicket => write!(f, "ticket unknown or already reaped"),
         }
     }
@@ -178,7 +180,8 @@ pub struct RingStats {
     pub rejected_full: u64,
     /// Batches taken off submission queues (doorbell rings).
     pub drained_batches: u64,
-    /// Groups of ≥ 2 adjacent writes dispatched as one `write_batch`.
+    /// Groups of ≥ 2 adjacent writes dispatched under one shard-lock
+    /// acquisition.
     pub coalesced_groups: u64,
     /// Writes that rode a coalesced group.
     pub coalesced_writes: u64,
@@ -289,9 +292,7 @@ impl<'a> Ring<'a> {
     }
 
     /// [`Ring::serve`] with a [`Recorder`] wired into the drainers:
-    /// every op is dispatched individually (no write coalescing, so
-    /// error attribution under mid-drain power cuts matches the serial
-    /// path exactly) and recorded in drain order. The resulting log
+    /// every op is also recorded, in drain order. The resulting log
     /// replays bit-exactly through the blocking `Store` path.
     pub fn serve_recorded<T>(
         store: &ShardedPipeline,
@@ -559,6 +560,9 @@ impl<'a> Ring<'a> {
         if !offset.is_multiple_of(BLOCK_BYTES) || !len.is_multiple_of(BLOCK_BYTES) {
             return Err(RingError::Unaligned);
         }
+        if offset.checked_add(len).is_none() {
+            return Err(RingError::OutOfRange);
+        }
         self.store.single_shard_of(offset, len).ok_or(RingError::CrossShard)
     }
 
@@ -580,8 +584,8 @@ impl<'a> Ring<'a> {
     }
 
     /// Take shard `s`'s entire submission queue in one lock acquisition,
-    /// then dispatch it outside the lock group by group — a coalesced
-    /// write group or a single read at a time — posting each group's
+    /// then dispatch it outside the lock group by group — a run of
+    /// adjacent writes or of adjacent reads at a time — posting each group's
     /// completions (and waking waiters) the moment it lands. Incremental
     /// posting is what keeps deep queues from convoying: closed-loop
     /// submitters refill the queue while the rest of the batch is still
@@ -642,104 +646,45 @@ impl<'a> Ring<'a> {
 
     /// Dispatch the next group of `batch` starting at index `i` against
     /// shard `s`, returning the index past the group plus its
-    /// `(seq, output)` pairs in batch order. Unrecorded rings coalesce
-    /// runs of adjacent writes (capped at [`MAX_COALESCE`]) into a single
-    /// [`EdcPipeline::write_batch_indexed`](crate::pipeline::EdcPipeline::write_batch_indexed)
-    /// call under one shard-lock acquisition; a recorded ring dispatches
-    /// per-op and logs each in drain order.
+    /// `(seq, output)` pairs in batch order. A group is a run of adjacent
+    /// same-kind ops (capped at [`MAX_COALESCE`]) sharing one shard-lock
+    /// acquisition; inside it every op goes through [`Store::dispatch`] on
+    /// its own — the blocking path's exact effect and output, so a power
+    /// cut mid-group fails the op that hit it and the ones behind it, each
+    /// with its own typed error — and is logged in drain order when a
+    /// recorder is attached.
     fn dispatch_group(
         &self,
         s: usize,
         batch: &[Pending],
         i: usize,
     ) -> (usize, Vec<(u64, OpOutput)>) {
-        if let Some(rec) = self.recorder {
-            let p = &batch[i];
-            let out = self.dispatch_one(s, p);
-            rec.lock().expect("recorder poisoned").record(p.now_ns, &p.op, &out);
-            return (i + 1, vec![(p.seq, out)]);
-        }
-        if !matches!(batch[i].op, Op::Write { .. }) {
-            // A run of consecutive reads shares one shard-lock
-            // acquisition and posts as one group.
-            let mut j = i + 1;
-            while j < batch.len()
-                && j - i < MAX_COALESCE
-                && matches!(batch[j].op, Op::Read { .. })
-                && matches!(batch[j - 1].op, Op::Read { .. })
-            {
-                j += 1;
-            }
-            let group = &batch[i..j];
-            let outs = self.store.with_shard(s, |pipe| {
-                group
-                    .iter()
-                    .map(|p| match &p.op {
-                        Op::Read { offset, len } => {
-                            (p.seq, OpOutput::from_read(pipe.read(p.now_ns, *offset, *len)))
-                        }
-                        other => {
-                            (p.seq, OpOutput::Err(format!("unsupported ring op `{}`", other.kind())))
-                        }
-                    })
-                    .collect()
-            });
-            return (j, outs);
-        }
+        let writes = matches!(batch[i].op, Op::Write { .. });
         let mut j = i + 1;
-        while j < batch.len() && j - i < MAX_COALESCE && matches!(batch[j].op, Op::Write { .. })
+        while j < batch.len()
+            && j - i < MAX_COALESCE
+            && matches!(batch[j].op, Op::Write { .. }) == writes
         {
             j += 1;
         }
         let group = &batch[i..j];
-        if group.len() > 1 {
+        if writes && group.len() > 1 {
             self.counters.coalesced_groups.fetch_add(1, Relaxed);
             self.counters.coalesced_writes.fetch_add(group.len() as u64, Relaxed);
         }
-        let writes: Vec<BatchWrite<'_>> = group
-            .iter()
-            .map(|p| match &p.op {
-                Op::Write { offset, data } => {
-                    BatchWrite { now_ns: p.now_ns, offset: *offset, data }
-                }
-                _ => unreachable!("group holds only writes"),
-            })
-            .collect();
-        let outs = match self.store.with_shard(s, |pipe| pipe.write_batch_indexed(&writes)) {
-            Ok(indexed) => {
-                let mut per: Vec<Vec<WriteResult>> =
-                    (0..group.len()).map(|_| Vec::new()).collect();
-                for (owner, r) in indexed {
-                    per[owner].push(r);
-                }
-                group
-                    .iter()
-                    .zip(per)
-                    .map(|(p, rs)| (p.seq, OpOutput::Writes(rs)))
-                    .collect()
-            }
-            Err(e) => {
-                // The shard rejected the whole group (power cut, offline
-                // store): every rider fails, typed.
-                let msg = e.to_string();
-                group.iter().map(|p| (p.seq, OpOutput::Err(msg.clone()))).collect()
-            }
-        };
+        let outs = self.store.with_shard(s, |pipe| {
+            group
+                .iter()
+                .map(|p| {
+                    let out = pipe.dispatch(p.now_ns, &p.op);
+                    if let Some(rec) = self.recorder {
+                        rec.lock().expect("recorder poisoned").record(p.now_ns, &p.op, &out);
+                    }
+                    (p.seq, out)
+                })
+                .collect()
+        });
         (j, outs)
-    }
-
-    /// Dispatch a single op against shard `s` — the blocking path's
-    /// exact effect, one shard-lock acquisition.
-    fn dispatch_one(&self, s: usize, p: &Pending) -> OpOutput {
-        match &p.op {
-            Op::Write { offset, data } => OpOutput::from_writes(self.store.with_shard(s, |pipe| {
-                pipe.write_batch(&[BatchWrite { now_ns: p.now_ns, offset: *offset, data }])
-            })),
-            Op::Read { offset, len } => OpOutput::from_read(
-                self.store.with_shard(s, |pipe| pipe.read(p.now_ns, *offset, *len)),
-            ),
-            other => OpOutput::Err(format!("unsupported ring op `{}`", other.kind())),
-        }
     }
 
     fn shutdown_all(&self) {
@@ -790,6 +735,39 @@ mod tests {
     }
 
     #[test]
+    fn coalesced_writes_complete_exactly_as_on_the_blocking_path() {
+        // Three non-contiguous writes: op 1 only buffers its run, op 2
+        // seals it, op 3 seals op 2's.
+        let ops: Vec<Op> = (0..3u64)
+            .map(|i| Op::Write { offset: i * 3 * 4096, data: vec![b'a' + i as u8; 4096] })
+            .collect();
+        let mut blocking = store(1);
+        let want: Vec<OpOutput> =
+            ops.iter().zip(0u64..).map(|(op, now)| blocking.dispatch(now, op)).collect();
+        assert!(matches!(&want[0], OpOutput::Writes(r) if r.is_empty()));
+        assert!(matches!(&want[1], OpOutput::Writes(r) if r.len() == 1 && r[0].start_block == 0));
+        assert!(matches!(&want[2], OpOutput::Writes(r) if r.len() == 1 && r[0].start_block == 3));
+
+        let s = store(1);
+        Ring::serve(&s, RingConfig::default(), |ring| {
+            // Hold the drainer off until all three are queued, so they
+            // ride one coalesced group.
+            ring.queues[0].state.lock().unwrap().draining = true;
+            let tickets: Vec<Ticket> = ops
+                .iter()
+                .zip(0u64..)
+                .map(|(op, now)| ring.submit(now, op.clone()).unwrap())
+                .collect();
+            ring.queues[0].state.lock().unwrap().draining = false;
+            ring.queues[0].doorbell.notify_one();
+            let got: Vec<OpOutput> = tickets.into_iter().map(|t| ring.wait(t).unwrap()).collect();
+            assert_eq!(got, want);
+            let st = ring.stats();
+            assert_eq!((st.drained_batches, st.coalesced_groups, st.coalesced_writes), (1, 1, 3));
+        });
+    }
+
+    #[test]
     fn validation_is_typed_and_at_submit_time() {
         let s = store(4);
         Ring::serve(&s, RingConfig::default(), |ring| {
@@ -805,6 +783,10 @@ mod tests {
             assert_eq!(
                 ring.submit(0, Op::Read { offset: 8192, len: 16384 }),
                 Err(RingError::CrossShard)
+            );
+            assert_eq!(
+                ring.submit(0, Op::Read { offset: u64::MAX - 4095, len: 8192 }),
+                Err(RingError::OutOfRange)
             );
             assert_eq!(ring.submit(0, Op::Flush), Err(RingError::Unsupported("flush")));
             assert_eq!(ring.submit(0, Op::Stats), Err(RingError::Unsupported("stats")));

@@ -43,7 +43,7 @@
 //! are one instant's truth.
 
 use crate::dedup::DedupReport;
-use crate::error::EdcError;
+use crate::error::{EdcError, WriteError};
 use crate::journal::{RecoveryError, MAX_SHARDS};
 use crate::parallel::par_map_indexed;
 use crate::pipeline::{
@@ -92,6 +92,8 @@ struct Piece {
 pub struct ShardedPipeline {
     shards: Vec<Mutex<EdcPipeline>>,
     extent_blocks: u64,
+    /// Device bytes summed over shards: the most one read may ask for.
+    capacity_bytes: u64,
 }
 
 impl ShardedPipeline {
@@ -117,7 +119,11 @@ impl ShardedPipeline {
                 Mutex::new(EdcPipeline::new(per_shard, pc))
             })
             .collect();
-        ShardedPipeline { shards, extent_blocks: config.extent_blocks }
+        ShardedPipeline {
+            shards,
+            extent_blocks: config.extent_blocks,
+            capacity_bytes: per_shard * config.shards as u64,
+        }
     }
 
     /// Adopt an existing single-owner pipeline — typically a legacy store
@@ -130,7 +136,8 @@ impl ShardedPipeline {
             0,
             "an adopted pipeline must carry the legacy shard id 0"
         );
-        ShardedPipeline { shards: vec![Mutex::new(pipeline)], extent_blocks: 64 }
+        let capacity_bytes = pipeline.capacity_bytes();
+        ShardedPipeline { shards: vec![Mutex::new(pipeline)], extent_blocks: 64, capacity_bytes }
     }
 
     /// Number of shards.
@@ -153,13 +160,14 @@ impl ShardedPipeline {
     /// fans out to more than one piece. The ring front-end routes on
     /// this: an op it accepts touches exactly one shard, so one drainer
     /// owns it end to end. A zero-length range belongs to the shard of
-    /// its offset.
+    /// its offset; a range running past the 64-bit address space belongs
+    /// to none.
     pub fn single_shard_of(&self, offset: u64, len: u64) -> Option<usize> {
+        let last = offset.checked_add(len.saturating_sub(1))?;
         if self.shards.len() == 1 {
             return Some(0);
         }
         let extent_bytes = self.extent_blocks * BLOCK_BYTES;
-        let last = offset + len.saturating_sub(1);
         if offset / extent_bytes == last / extent_bytes {
             Some(self.shard_of_block(offset / BLOCK_BYTES))
         } else {
@@ -168,13 +176,14 @@ impl ShardedPipeline {
     }
 
     /// Split `[offset, offset + len)` at extent boundaries into
-    /// shard-routed pieces, in address order.
-    fn pieces(&self, offset: u64, len: u64) -> Vec<Piece> {
+    /// shard-routed pieces, in address order; `None` when the range runs
+    /// past the 64-bit address space.
+    fn pieces(&self, offset: u64, len: u64) -> Option<Vec<Piece>> {
+        let end = offset.checked_add(len)?;
         if self.shards.len() == 1 {
-            return vec![Piece { shard: 0, offset, len }];
+            return Some(vec![Piece { shard: 0, offset, len }]);
         }
         let extent_bytes = self.extent_blocks * BLOCK_BYTES;
-        let end = offset + len;
         let mut out = Vec::new();
         let mut at = offset;
         while at < end {
@@ -188,7 +197,7 @@ impl ShardedPipeline {
             });
             at = stop;
         }
-        out
+        Some(out)
     }
 
     /// Lock shard `i` and run `f` against its pipeline. The maintenance /
@@ -213,24 +222,23 @@ impl ShardedPipeline {
     }
 
     /// Accept a batch of writes. The whole batch is validated up front
-    /// (alignment, whole blocks) before any byte is accepted, matching
+    /// (alignment, whole blocks, range) before any byte is accepted, matching
     /// [`EdcPipeline::write_batch`]; pieces are then grouped per shard and
     /// applied with one lock acquisition per touched shard. Each shard's
     /// sub-batch is atomic under its lock; the batch as a whole is not
     /// (per-shard atomicity, like a stripe-split RAID request).
     pub fn write_batch(&self, writes: &[BatchWrite<'_>]) -> Result<Vec<WriteResult>, EdcError> {
+        // Group pieces per shard, preserving batch order within a shard.
+        let mut per_shard: Vec<Vec<BatchWrite<'_>>> = vec![Vec::new(); self.shards.len()];
         for w in writes {
             if !w.offset.is_multiple_of(BLOCK_BYTES)
                 || w.data.is_empty()
                 || !(w.data.len() as u64).is_multiple_of(BLOCK_BYTES)
             {
-                return Err(crate::error::WriteError::Unaligned.into());
+                return Err(WriteError::Unaligned.into());
             }
-        }
-        // Group pieces per shard, preserving batch order within a shard.
-        let mut per_shard: Vec<Vec<BatchWrite<'_>>> = vec![Vec::new(); self.shards.len()];
-        for w in writes {
-            for p in self.pieces(w.offset, w.data.len() as u64) {
+            let pieces = self.pieces(w.offset, w.data.len() as u64).ok_or(WriteError::OutOfRange)?;
+            for p in pieces {
                 let skip = (p.offset - w.offset) as usize;
                 per_shard[p.shard].push(BatchWrite {
                     now_ns: w.now_ns,
@@ -252,13 +260,18 @@ impl ShardedPipeline {
 
     /// Read `len` bytes at `offset` (both 4 KiB-aligned), concurrently
     /// with other callers. Each piece is served under its shard's lock;
-    /// unwritten blocks read as zeroes.
+    /// unwritten blocks read as zeroes. One read may ask for at most the
+    /// store's device capacity (summed over shards).
     pub fn read(&self, now_ns: u64, offset: u64, len: u64) -> Result<Vec<u8>, ReadError> {
         if !offset.is_multiple_of(BLOCK_BYTES) || !len.is_multiple_of(BLOCK_BYTES) {
             return Err(ReadError::Unaligned);
         }
+        if len > self.capacity_bytes {
+            return Err(ReadError::OutOfRange);
+        }
+        let pieces = self.pieces(offset, len).ok_or(ReadError::OutOfRange)?;
         let mut out = vec![0u8; len as usize];
-        for p in self.pieces(offset, len) {
+        for p in pieces {
             let piece = {
                 let mut shard = self.shards[p.shard].lock().expect("shard poisoned");
                 shard.read(now_ns, p.offset, p.len)?
@@ -348,9 +361,7 @@ impl ShardedPipeline {
 
     /// Aggregate statistics. All shard locks are acquired (in index
     /// order) *before* any counter is read, so the totals — including the
-    /// merged [`crate::cache::CacheStats`] — reflect a single instant;
-    /// reusing [`crate::mapping::BlockMap::snapshot`] per shard keeps each
-    /// shard's mapping figures internally consistent too.
+    /// merged [`crate::cache::CacheStats`] — reflect a single instant.
     pub fn stats(&self) -> PipelineStats {
         let guards: Vec<_> =
             self.shards.iter().map(|m| m.lock().expect("shard poisoned")).collect();
@@ -377,7 +388,8 @@ impl ShardedPipeline {
             offset.is_multiple_of(BLOCK_BYTES) && len.is_multiple_of(BLOCK_BYTES),
             "hint range must be aligned"
         );
-        for p in self.pieces(offset, len) {
+        let pieces = self.pieces(offset, len).expect("hint range must fit the address space");
+        for p in pieces {
             self.shards[p.shard].lock().expect("shard poisoned").set_hint(p.offset, p.len, hint);
         }
     }
@@ -548,7 +560,7 @@ mod tests {
     fn routing_splits_at_extent_boundaries() {
         let s = small(4);
         // Blocks 0..4 are extent 0 (shard 0), 4..8 extent 1 (shard 1), ...
-        let pieces = s.pieces(0, 12 * BLOCK_BYTES);
+        let pieces = s.pieces(0, 12 * BLOCK_BYTES).unwrap();
         assert_eq!(
             pieces,
             vec![
@@ -560,7 +572,7 @@ mod tests {
         // Extent wrap-around: extent 4 routes back to shard 0.
         assert_eq!(s.shard_of_block(16), 0);
         // Mid-extent start stops at the extent edge.
-        let pieces = s.pieces(2 * BLOCK_BYTES, 4 * BLOCK_BYTES);
+        let pieces = s.pieces(2 * BLOCK_BYTES, 4 * BLOCK_BYTES).unwrap();
         assert_eq!(
             pieces,
             vec![

@@ -10,7 +10,10 @@
 //! record. [`Op`] closes that: every externally observable mutation of a
 //! store is a value that can be encoded to bytes, logged, hashed and
 //! replayed, and [`Store`] is implemented by both front-ends so the
-//! recorder ([`crate::record`]) is generic over them.
+//! recorder ([`crate::record`]) is generic over them. The async ring
+//! ([`crate::ring`]) has no dispatch of its own either: a drainer calls
+//! [`Store::dispatch`] on its shard's pipeline, op by op, so a ring
+//! completion is the blocking path's output by construction.
 //!
 //! Outputs are summarized as [`OpOutput`] and digested to a `u64`
 //! ([`OpOutput::digest`]) so a replay can diff observable behaviour
@@ -449,11 +452,8 @@ impl OpOutput {
         checksum64(&buf, u64::from(self.tag()))
     }
 
-    /// Fold a write/flush outcome into an output record — the same
-    /// mapping [`Store::dispatch`] applies, shared with the ring
-    /// front-end so a completion posted by a drainer is bit-identical
-    /// to the blocking path's output for the same op.
-    pub fn from_writes(r: Result<Vec<WriteResult>, EdcError>) -> OpOutput {
+    /// Fold a write/flush outcome into an output record.
+    fn from_writes(r: Result<Vec<WriteResult>, EdcError>) -> OpOutput {
         match r {
             Ok(v) => OpOutput::Writes(v),
             Err(e) => OpOutput::Err(e.to_string()),
@@ -461,9 +461,8 @@ impl OpOutput {
     }
 
     /// Fold a read outcome into an output record (length + checksum
-    /// summary on success, rendered error otherwise) — shared between
-    /// [`Store::dispatch`] and the ring front-end.
-    pub fn from_read(r: Result<Vec<u8>, ReadError>) -> OpOutput {
+    /// summary on success, rendered error otherwise).
+    fn from_read(r: Result<Vec<u8>, ReadError>) -> OpOutput {
         match r {
             Ok(bytes) => OpOutput::Read {
                 len: bytes.len() as u64,
@@ -548,8 +547,10 @@ pub trait Store {
 
     /// Apply one op at time `now_ns` — the single dispatch point of the
     /// whole API. Invalid parameters (unaligned hint ranges, out-of-range
-    /// shard indices) come back as [`OpOutput::Err`], never a panic, so
-    /// a corrupt or adversarial log replays safely.
+    /// shard indices, reads and writes running past the address space or
+    /// the device) come back as [`OpOutput::Err`], never a panic or an
+    /// unbounded allocation, so a corrupt or adversarial log replays
+    /// safely.
     fn dispatch(&mut self, now_ns: u64, op: &Op) -> OpOutput {
         match op {
             Op::Write { offset, data } => OpOutput::from_writes(self.write_batch(&[BatchWrite {
@@ -590,6 +591,9 @@ pub trait Store {
                     || !len.is_multiple_of(crate::scheme::BLOCK_BYTES)
                 {
                     return OpOutput::Err("unaligned hint range".to_string());
+                }
+                if offset.checked_add(*len).is_none() {
+                    return OpOutput::Err("hint range out of bounds".to_string());
                 }
                 self.set_hint(*offset, *len, *hint);
                 OpOutput::Unit
@@ -679,6 +683,59 @@ mod tests {
         }
         assert_eq!(Op::decode(&[]), None);
         assert_eq!(Op::decode(&[0xFF]), None);
+    }
+
+    #[test]
+    fn adversarial_ranges_come_back_typed_on_every_front_end() {
+        use crate::pipeline::{EdcPipeline, PipelineConfig};
+        use crate::ring::{Ring, RingConfig, RingError};
+        use crate::shard::{ShardConfig, ShardedPipeline};
+
+        // Well-formed ops a corrupt or hostile log can carry: a read far
+        // larger than any device, and a read and a write whose end wraps
+        // the 64-bit address space.
+        let table = [
+            (Op::Read { offset: 0, len: 1 << 46 }, "read runs past"),
+            (Op::Read { offset: u64::MAX - 4095, len: 8192 }, "read runs past"),
+            (Op::Write { offset: u64::MAX - 4095, data: vec![7u8; 8192] }, "write runs past"),
+        ];
+        let sharded = |shards| {
+            ShardedPipeline::new(1 << 20, ShardConfig { shards, ..ShardConfig::default() })
+        };
+        for (op, want) in &table {
+            let mut stores: Vec<Box<dyn Store>> = vec![
+                Box::new(EdcPipeline::new(1 << 20, PipelineConfig::default())),
+                Box::new(sharded(1)),
+                Box::new(sharded(2)),
+            ];
+            for store in &mut stores {
+                match store.dispatch(0, op) {
+                    OpOutput::Err(msg) => assert!(msg.contains(want), "{op:?}: {msg}"),
+                    other => panic!("{op:?} on {} shard(s): {other:?}", store.shard_count()),
+                }
+                // The refusal left the store usable.
+                let block = Op::Write { offset: 0, data: vec![1u8; 4096] };
+                assert!(matches!(store.dispatch(1, &block), OpOutput::Writes(_)));
+                let read = store.dispatch(2, &Op::Read { offset: 0, len: 4096 });
+                assert!(matches!(read, OpOutput::Read { len: 4096, .. }), "{read:?}");
+            }
+            for shards in [1, 2] {
+                let store = sharded(shards);
+                Ring::serve(&store, RingConfig::default(), |ring| {
+                    match ring.submit(0, op.clone()) {
+                        // Refused at the door...
+                        Err(e) => {
+                            assert!(matches!(e, RingError::OutOfRange | RingError::CrossShard))
+                        }
+                        // ...or by the pipeline, exactly as on the blocking path.
+                        Ok(t) => match ring.wait(t).unwrap() {
+                            OpOutput::Err(msg) => assert!(msg.contains(want), "{op:?}: {msg}"),
+                            other => panic!("{op:?} through the ring: {other:?}"),
+                        },
+                    }
+                });
+            }
+        }
     }
 
     #[test]

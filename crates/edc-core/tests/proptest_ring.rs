@@ -4,16 +4,13 @@
 //!    writes and reads — with injected read faults and armed mid-drain
 //!    power cuts, at 1 and 8 shards — every completion the ring posts is
 //!    digest-identical to dispatching the same op through the blocking
-//!    `Store` path on a control store, and after recovery the two
-//!    stores' entire address spaces read back bit-identical. (Write
-//!    outputs are only compared on cut-free schedules: a cut mid-way
-//!    through a coalesced group fails the whole group, while the serial
-//!    path fails ops individually — the *state* stays equivalent either
-//!    way, which the final sweep checks.)
+//!    `Store` path on a control store — reads, writes and the typed
+//!    errors of a cut alike — and after recovery the two stores' entire
+//!    address spaces read back bit-identical.
 //!
 //! 2. **Recorded ring replays bit-exactly.** A `Recorder` wrapped
-//!    around the ring logs ops in drain order (per-op dispatch, no
-//!    coalescing); the resulting `.edcrr` log — including a power cut
+//!    around the ring logs ops in drain order, coalesced groups
+//!    included; the resulting `.edcrr` log — including a power cut
 //!    firing mid-drain and the subsequent recovery — replays bit-exactly
 //!    through the blocking `Store` path.
 
@@ -98,33 +95,27 @@ fn ring_reads_bit_identical_to_blocking_under_faults_and_cuts() {
         let mut now = 0u64;
 
         Ring::serve(&ring_store, RingConfig { depth, shards }, |ring| {
-            // ticket → (expected digest from the blocking control store,
-            // whether the op was a read).
-            let mut expected: HashMap<Ticket, (u64, bool)> = HashMap::new();
+            // ticket → expected digest from the blocking control store.
+            let mut expected: HashMap<Ticket, u64> = HashMap::new();
             let mut outstanding: VecDeque<Ticket> = VecDeque::new();
-            let verify = |t: Ticket,
-                          out: &OpOutput,
-                          expected: &mut HashMap<Ticket, (u64, bool)>| {
-                let (want, is_read) = expected.remove(&t).expect("unknown ticket completed");
-                if is_read || !cut_armed {
-                    assert_eq!(
-                        out.digest(),
-                        want,
-                        "shard {} seq {} diverged from the blocking path \
-                         ({shards} shards, extent {extent_blocks}, depth {depth})",
-                        t.shard(),
-                        t.seq()
-                    );
-                }
+            let verify = |t: Ticket, out: &OpOutput, expected: &mut HashMap<Ticket, u64>| {
+                let want = expected.remove(&t).expect("unknown ticket completed");
+                assert_eq!(
+                    out.digest(),
+                    want,
+                    "shard {} seq {} diverged from the blocking path \
+                     ({shards} shards, extent {extent_blocks}, depth {depth}, cut {cut_armed})",
+                    t.shard(),
+                    t.seq()
+                );
             };
             for op in &schedule {
                 now += 500_000;
-                let is_read = matches!(op, Op::Read { .. });
                 let want = ctrl.dispatch(now, op).digest();
                 loop {
                     match ring.submit(now, op.clone()) {
                         Ok(t) => {
-                            expected.insert(t, (want, is_read));
+                            expected.insert(t, want);
                             outstanding.push_back(t);
                             break;
                         }
