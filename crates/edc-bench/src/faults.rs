@@ -92,7 +92,7 @@ impl Workload {
             fault: FaultPlan { power_cut_after_programs: Some(cut), ..FaultPlan::none() },
             ..StoreSpec::default()
         };
-        let mut store = spec.build();
+        let store = spec.build();
         let mut rec = Recorder::new(spec);
         let mut clock = ManualClock::new(0, 1);
         let write =
@@ -107,7 +107,7 @@ impl Workload {
         );
         ops.push(Op::Stats);
         for op in &ops {
-            rec.apply(store.as_mut(), &mut clock, op);
+            rec.apply(&store, &mut clock, op);
         }
         rec
     }

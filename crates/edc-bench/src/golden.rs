@@ -1,4 +1,4 @@
-//! `record-golden`: regenerate the committed golden `.edcrr` fixture.
+//! `record-golden`: regenerate the committed golden `.edcrr` fixtures.
 
 use crate::content::{noise_block, text_block};
 use crate::heat::heat_block;
@@ -10,16 +10,16 @@ use std::path::Path;
 
 /// Record a deterministic mixed op schedule (writes, batches, hints,
 /// faults, a power cut, recovery, scrub, recompression, journal
-/// truncation, dedup hits and a shared-run relocation) against a 2-shard
-/// parity store.
+/// truncation, dedup hits and a shared-run relocation) against a parity
+/// store of `shards` shards (`0`: a plain pipeline).
 ///
 /// # Panics
 /// If the engine no longer produces the dedup hits and the relocation
 /// the fixture exists to capture.
-pub fn record() -> Recorder {
+pub fn record(shards: u32) -> Recorder {
     let spec = StoreSpec {
         capacity_bytes: 16 << 20,
-        shards: 2,
+        shards,
         extent_blocks: 8,
         cache_runs: 16,
         parity: true,
@@ -32,7 +32,7 @@ pub fn record() -> Recorder {
         fast_ladder: true,
         ..StoreSpec::default()
     };
-    let mut store = spec.build();
+    let store = spec.build();
     let mut rec = Recorder::new(spec);
     // 2 ms/op, the heat bench's steady mid-ladder cadence.
     let mut clock = ManualClock::new(0, 2_000_000);
@@ -73,7 +73,7 @@ pub fn record() -> Recorder {
     }
     ops.push(Op::Stats);
     for op in &ops {
-        rec.apply(store.as_mut(), &mut clock, op);
+        rec.apply(&store, &mut clock, op);
     }
     // Dedup phase: three copies of one 4-block payload (two dedup hits),
     // a full overwrite releasing the first reference, then a long idle
@@ -86,24 +86,24 @@ pub fn record() -> Recorder {
     let dup = heat_block(999, 0);
     let run_bytes = dup.len() as u64;
     for off in [64u64, 80, 96] {
-        rec.apply(store.as_mut(), &mut clock, &Op::Write { offset: off * 4096, data: dup.clone() });
+        rec.apply(&store, &mut clock, &Op::Write { offset: off * 4096, data: dup.clone() });
     }
-    rec.apply(store.as_mut(), &mut clock, &Op::Flush);
-    let shared = match rec.apply(store.as_mut(), &mut clock, &Op::VerifyDedup) {
+    rec.apply(&store, &mut clock, &Op::Flush);
+    let shared = match rec.apply(&store, &mut clock, &Op::VerifyDedup) {
         OpOutput::Dedup(r) => r,
         other => panic!("verify_dedup failed while recording: {other:?}"),
     };
     assert!(shared.extra_refs >= 2, "fixture must capture dedup hits: {shared:?}");
     rec.apply(
-        store.as_mut(),
+        &store,
         &mut clock,
         &Op::Write { offset: 64 * 4096, data: heat_block(4242, 1) },
     );
-    rec.apply(store.as_mut(), &mut clock, &Op::Flush);
-    rec.apply(store.as_mut(), &mut clock, &Op::VerifyDedup);
+    rec.apply(&store, &mut clock, &Op::Flush);
+    rec.apply(&store, &mut clock, &Op::VerifyDedup);
     clock.advance(400_000_000_000);
     let pass = match rec.apply(
-        store.as_mut(),
+        &store,
         &mut clock,
         &Op::RecompressPass { target: CodecId::Deflate, max_rewrites: u64::MAX },
     ) {
@@ -112,51 +112,59 @@ pub fn record() -> Recorder {
     };
     assert!(pass.recompressed > 0, "fixture must capture a relocation: {pass:?}");
     assert!(pass.skipped_shared == 0, "the shared run must relocate, not be skipped: {pass:?}");
-    let after = match rec.apply(store.as_mut(), &mut clock, &Op::VerifyDedup) {
+    let after = match rec.apply(&store, &mut clock, &Op::VerifyDedup) {
         OpOutput::Dedup(r) => r,
         other => panic!("verify_dedup failed while recording: {other:?}"),
     };
     assert!(after.shared_runs >= 1, "sharing must survive relocation: {after:?}");
     for off in [64u64, 80, 96] {
-        rec.apply(store.as_mut(), &mut clock, &Op::Read { offset: off * 4096, len: run_bytes });
+        rec.apply(&store, &mut clock, &Op::Read { offset: off * 4096, len: run_bytes });
     }
-    rec.apply(store.as_mut(), &mut clock, &Op::Scrub);
-    rec.apply(store.as_mut(), &mut clock, &Op::Stats);
+    rec.apply(&store, &mut clock, &Op::Scrub);
+    rec.apply(&store, &mut clock, &Op::Stats);
     rec
 }
 
-/// `edc-bench record-golden <path>` — save [`record`]'s log as a golden
-/// `.edcrr` fixture. Used once to generate the committed fixture under
-/// `tests/fixtures/`; kept for regeneration whenever the engine's
-/// observable behaviour intentionally changes.
+/// `edc-bench record-golden <path>` — save [`record`]'s log on a
+/// 2-shard store as a golden `.edcrr` fixture at `path`, and the same
+/// schedule on a plain pipeline as `golden_plain.edcrr` beside it. Used to
+/// generate the committed fixtures under `tests/fixtures/`; kept for
+/// regeneration whenever the engine's observable behaviour intentionally
+/// changes.
 pub fn run(path: Option<&Path>) -> CmdResult {
     let Some(path) = path else {
         return Err(CmdError::Usage("usage: edc-bench record-golden <path.edcrr>".to_string()));
     };
-    let rec = record();
-    let save = || {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        rec.save(path)
-    };
-    save().map_err(|e| CmdError::Usage(format!("saving {}: {e}", path.display())))?;
-    eprintln!(
-        "# recorded {} op(s) ({} bytes) into {}",
-        rec.ops(),
-        rec.bytes().len(),
-        path.display()
-    );
+    let plain = path.with_file_name("golden_plain.edcrr");
+    for (shards, path) in [(2, path.to_path_buf()), (0, plain)] {
+        let rec = record(shards);
+        let save = || {
+            if let Some(dir) = path.parent() {
+                std::fs::create_dir_all(dir)?;
+            }
+            rec.save(&path)
+        };
+        save().map_err(|e| CmdError::Usage(format!("saving {}: {e}", path.display())))?;
+        eprintln!(
+            "# recorded {} op(s) ({} bytes) into {}",
+            rec.ops(),
+            rec.bytes().len(),
+            path.display()
+        );
+    }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    /// The committed fixture is exactly what `record-golden` writes today:
-    /// pins the op schedule and the [`crate::content`] generators under it.
+    /// The committed fixtures are exactly what `record-golden` writes
+    /// today: pins the op schedule and the [`crate::content`] generators
+    /// under it, on two shards and on a plain pipeline.
     #[test]
     fn record_reproduces_the_committed_fixture() {
-        let fixture = include_bytes!("../../../tests/fixtures/golden_sharded.edcrr");
-        assert!(super::record().bytes() == fixture, "record-golden drifted from the fixture");
+        let sharded = include_bytes!("../../../tests/fixtures/golden_sharded.edcrr");
+        let plain = include_bytes!("../../../tests/fixtures/golden_plain.edcrr");
+        assert!(super::record(2).bytes() == sharded, "record-golden drifted from the fixture");
+        assert!(super::record(0).bytes() == plain, "record-golden drifted from the plain twin");
     }
 }

@@ -22,7 +22,7 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{build_code_lengths, read_lengths, write_lengths, Decoder, Encoder};
 use crate::mtf::{mtf_decode, mtf_encode};
 use crate::rle::{zrle_decode, zrle_encode, EOB_SYM, NUM_SYMBOLS};
-use crate::state::Output;
+use crate::state::{CompressorState, Output};
 use crate::suffix::sort_rotations;
 use crate::{Codec, CodecId, DecompressError};
 
@@ -127,7 +127,7 @@ impl Codec for Bwt {
         CodecId::Bwt
     }
 
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
+    fn compress_with(&self, _state: &mut CompressorState, input: &[u8], out: &mut Vec<u8>) {
         let mut w = BitWriter::new();
         w.write_bits(0, 1); // compressed
         for block in input.chunks(self.block_size) {
@@ -150,22 +150,15 @@ impl Codec for Bwt {
                 enc.write(&mut w, s as usize);
             }
         }
-        let encoded = w.finish();
-        if encoded.len() > input.len() + 1 {
+        *out = w.finish();
+        if out.len() > input.len() + 1 {
             let mut w = BitWriter::new();
             w.write_bits(1, 1);
             for &b in input {
                 w.write_byte(b);
             }
-            return w.finish();
+            *out = w.finish();
         }
-        encoded
-    }
-
-    fn decompress(&self, input: &[u8], expected_len: usize) -> Result<Vec<u8>, DecompressError> {
-        let mut out = Vec::new();
-        self.decompress_into(input, expected_len, &mut out)?;
-        Ok(out)
     }
 
     fn decompress_into(

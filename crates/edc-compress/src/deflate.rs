@@ -24,9 +24,7 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{
     read_lengths_into, write_lengths, Decoder, Encoder, LengthBuilder, MAX_CODE_LEN,
 };
-use crate::state::{
-    common_prefix_len, with_decode_scratch, with_thread_state, CompressorState, Output, StampTable,
-};
+use crate::state::{common_prefix_len, with_decode_scratch, CompressorState, Output, StampTable};
 use crate::{Codec, CodecId, DecompressError};
 
 const MIN_MATCH: usize = 3;
@@ -585,16 +583,6 @@ impl Codec for Deflate {
         CodecId::Deflate
     }
 
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.compress_into(input, &mut out);
-        out
-    }
-
-    fn compress_into(&self, input: &[u8], out: &mut Vec<u8>) {
-        with_thread_state(|state| self.compress_with(state, input, out));
-    }
-
     fn compress_with(&self, state: &mut CompressorState, input: &[u8], out: &mut Vec<u8>) {
         let cap0 = state.deflate.capacity_signature();
         let st = &mut state.deflate;
@@ -616,12 +604,6 @@ impl Codec for Deflate {
         if state.deflate.capacity_signature() != cap0 {
             state.alloc_events += 1;
         }
-    }
-
-    fn decompress(&self, input: &[u8], expected_len: usize) -> Result<Vec<u8>, DecompressError> {
-        let mut out = Vec::new();
-        self.decompress_into(input, expected_len, &mut out)?;
-        Ok(out)
     }
 
     fn decompress_into(

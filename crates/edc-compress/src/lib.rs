@@ -204,66 +204,58 @@ impl fmt::Display for CodecId {
 /// Implementations must be pure functions of their input: the same input
 /// always produces the same output (required for deterministic simulation),
 /// and `decompress(compress(x), x.len()) == x` for every `x`.
+///
+/// A codec implements one encoder, [`Codec::compress_with`], and one
+/// decoder, [`Codec::decompress_into`]; the other entry points are
+/// provided wrappers around those two.
 pub trait Codec: Send + Sync {
     /// Identifier stored in EDC mapping entries.
     fn id(&self) -> CodecId;
 
-    /// Compress `input` into a fresh buffer.
-    ///
-    /// The output is a self-contained stream; it may be larger than the
-    /// input for incompressible data (EDC handles that case by storing the
-    /// block uncompressed instead — see the 75 % rule in `edc-core`).
-    fn compress(&self, input: &[u8]) -> Vec<u8>;
-
-    /// Compress `input` into a caller-owned buffer, clearing it first.
-    ///
-    /// The stream written is byte-identical to [`Codec::compress`]'s; the
-    /// point is allocation reuse — a hot write path hands the same scratch
-    /// `Vec` back on every call and amortizes the allocation away. The
-    /// default implementation delegates to `compress`; allocation-sensitive
-    /// codecs override it with a true in-place encoder.
-    fn compress_into(&self, input: &[u8], out: &mut Vec<u8>) {
-        out.clear();
-        out.extend_from_slice(&self.compress(input));
-    }
-
-    /// Compress `input` into `out` using caller-pooled scratch `state`.
+    /// Compress `input` into `out` (replacing its contents) using
+    /// caller-pooled scratch `state`.
     ///
     /// This is the hot-path entry point: hash tables, chain arrays, token
     /// buffers and Huffman scratch live in `state` and are reused across
     /// calls, so a warmed-up worker performs zero heap allocation per
-    /// block. The stream written is byte-identical to [`Codec::compress`]
-    /// regardless of what the state was previously used for (enforced by
-    /// golden-stream fixtures and property tests).
-    ///
-    /// The default implementation ignores `state` and delegates to
-    /// [`Codec::compress_into`]; the LZ-family codecs override it.
-    fn compress_with(&self, state: &mut CompressorState, input: &[u8], out: &mut Vec<u8>) {
-        let _ = state;
-        self.compress_into(input, out);
-    }
+    /// block. The stream written depends only on `input`, not on what the
+    /// state was previously used for (enforced by golden-stream fixtures
+    /// and property tests). It is self-contained and may be larger than
+    /// the input for incompressible data (EDC stores such blocks
+    /// uncompressed instead — see the 75 % rule in `edc-core`).
+    fn compress_with(&self, state: &mut CompressorState, input: &[u8], out: &mut Vec<u8>);
 
-    /// Decompress a stream produced by [`Codec::compress`].
+    /// Decompress a stream produced by [`Codec::compress_with`] into a
+    /// caller-owned buffer, replacing its contents.
     ///
     /// `expected_len` is the original (uncompressed) size, which EDC always
     /// knows from its mapping entry; codecs use it to size the output buffer
-    /// exactly and to validate stream integrity.
-    fn decompress(&self, input: &[u8], expected_len: usize) -> Result<Vec<u8>, DecompressError>;
-
-    /// Decompress into a caller-owned buffer, clearing it first — the read-
-    /// path mirror of [`Codec::compress_into`]. The bytes produced are
-    /// identical to [`Codec::decompress`]'s; the point is allocation reuse
-    /// on hot read paths. The default delegates to `decompress`.
+    /// and to validate stream integrity.
     fn decompress_into(
         &self,
         input: &[u8],
         expected_len: usize,
         out: &mut Vec<u8>,
-    ) -> Result<(), DecompressError> {
-        let produced = self.decompress(input, expected_len)?;
-        out.clear();
-        out.extend_from_slice(&produced);
-        Ok(())
+    ) -> Result<(), DecompressError>;
+
+    /// [`Codec::compress_with`] on this thread's pooled scratch state, so
+    /// even pool-less callers amortize the match-table setup.
+    fn compress_into(&self, input: &[u8], out: &mut Vec<u8>) {
+        state::with_thread_state(|state| self.compress_with(state, input, out));
+    }
+
+    /// Compress `input` into a fresh buffer (see [`Codec::compress_into`]).
+    fn compress(&self, input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.compress_into(input, &mut out);
+        out
+    }
+
+    /// Decompress into a fresh buffer (see [`Codec::decompress_into`]).
+    fn decompress(&self, input: &[u8], expected_len: usize) -> Result<Vec<u8>, DecompressError> {
+        let mut out = Vec::new();
+        self.decompress_into(input, expected_len, &mut out)?;
+        Ok(out)
     }
 }
 

@@ -8,7 +8,7 @@
 //! `255`-valued extension bytes. Minimum match length is 4; the final
 //! sequence carries literals only.
 
-use crate::state::{common_prefix_len, with_thread_state, CompressorState, Output};
+use crate::state::{common_prefix_len, CompressorState, Output};
 use crate::{Codec, CodecId, DecompressError};
 
 const MIN_MATCH: usize = 4;
@@ -69,16 +69,6 @@ impl Codec for Lz4 {
         CodecId::Lz4
     }
 
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 2 + 16);
-        self.compress_into(input, &mut out);
-        out
-    }
-
-    fn compress_into(&self, input: &[u8], out: &mut Vec<u8>) {
-        with_thread_state(|state| self.compress_with(state, input, out));
-    }
-
     fn compress_with(&self, state: &mut CompressorState, input: &[u8], out: &mut Vec<u8>) {
         out.clear();
         let n = input.len();
@@ -133,12 +123,6 @@ impl Codec for Lz4 {
         if state.lz4_table.capacity() != cap0 {
             state.alloc_events += 1;
         }
-    }
-
-    fn decompress(&self, input: &[u8], expected_len: usize) -> Result<Vec<u8>, DecompressError> {
-        let mut out = Vec::new();
-        self.decompress_into(input, expected_len, &mut out)?;
-        Ok(out)
     }
 
     fn decompress_into(

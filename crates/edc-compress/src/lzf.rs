@@ -20,7 +20,7 @@
 //!
 //! Matches may overlap their own output (RLE-style), exactly as in LZ77.
 
-use crate::state::{common_prefix_len, with_thread_state, CompressorState, Output};
+use crate::state::{common_prefix_len, CompressorState, Output};
 use crate::{Codec, CodecId, DecompressError};
 
 /// Window size: offsets are 13 bits, biased by one.
@@ -67,18 +67,6 @@ fn push_literals(out: &mut Vec<u8>, input: &[u8], start: usize, end: usize) {
 impl Codec for Lzf {
     fn id(&self) -> CodecId {
         CodecId::Lzf
-    }
-
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 2 + 16);
-        self.compress_into(input, &mut out);
-        out
-    }
-
-    fn compress_into(&self, input: &[u8], out: &mut Vec<u8>) {
-        // Fall back to the per-thread state so even pool-less callers
-        // amortize the match-table setup.
-        with_thread_state(|state| self.compress_with(state, input, out));
     }
 
     fn compress_with(&self, state: &mut CompressorState, input: &[u8], out: &mut Vec<u8>) {
@@ -141,12 +129,6 @@ impl Codec for Lzf {
         if state.lzf_table.capacity() != cap0 {
             state.alloc_events += 1;
         }
-    }
-
-    fn decompress(&self, input: &[u8], expected_len: usize) -> Result<Vec<u8>, DecompressError> {
-        let mut out = Vec::new();
-        self.decompress_into(input, expected_len, &mut out)?;
-        Ok(out)
     }
 
     fn decompress_into(

@@ -39,7 +39,11 @@
 //! [`shard::ShardedPipeline`], and [`ring::Ring`] adds an asynchronous
 //! submission/completion-queue front-end on top of it — fixed-depth
 //! per-shard rings with typed backpressure, so queue depth rather than
-//! caller thread count drives device saturation.
+//! caller thread count drives device saturation. Every [`store::Op`] —
+//! the serializable unit the ring carries and [`record`] logs — reaches a
+//! store through one entry point, [`shard::ShardedPipeline::dispatch`];
+//! a plain pipeline takes part as a one-shard store
+//! ([`shard::ShardedPipeline::from_pipeline`]).
 //!
 //! Every pipeline entry point is fallible, funnelling into the unified
 //! [`error::EdcError`]. Arm a seeded `edc_flash::FaultPlan` and the store
@@ -101,5 +105,5 @@ pub use sd::{MergedRun, SdConfig, SequentialityDetector};
 pub use selector::{codec_strength, AlgorithmSelector, LadderRung, SelectorConfig};
 pub use shard::{ShardConfig, ShardedPipeline};
 pub use slots::SlotStore;
-pub use store::{Op, OpOutput, Store};
+pub use store::{Op, OpOutput};
 pub use telemetry::{Sample, TieredSeries};

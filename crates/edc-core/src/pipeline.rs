@@ -1667,82 +1667,6 @@ impl EdcPipeline {
     }
 }
 
-impl crate::store::Store for EdcPipeline {
-    fn write_batch(&mut self, writes: &[BatchWrite<'_>]) -> Result<Vec<WriteResult>, EdcError> {
-        EdcPipeline::write_batch(self, writes)
-    }
-
-    fn read(&mut self, now_ns: u64, offset: u64, len: u64) -> Result<Vec<u8>, ReadError> {
-        EdcPipeline::read(self, now_ns, offset, len)
-    }
-
-    fn flush_all(&mut self, now_ns: u64) -> Result<Vec<WriteResult>, EdcError> {
-        EdcPipeline::flush_all(self, now_ns)
-    }
-
-    fn recover(&mut self) -> Result<RecoveryReport, RecoveryError> {
-        EdcPipeline::recover(self)
-    }
-
-    fn scrub(&mut self) -> Result<ScrubReport, EdcError> {
-        EdcPipeline::scrub(self)
-    }
-
-    fn verify_store(&mut self) -> Result<ScrubReport, EdcError> {
-        EdcPipeline::verify(self)
-    }
-
-    fn verify_dedup(&mut self) -> Result<DedupReport, EdcError> {
-        EdcPipeline::verify_dedup(self)
-    }
-
-    fn recompress(
-        &mut self,
-        now_ns: u64,
-        target: CodecId,
-        max_rewrites: usize,
-    ) -> Result<RecompressReport, EdcError> {
-        self.recompress_pass(now_ns, target, max_rewrites)
-    }
-
-    fn set_hint(&mut self, offset: u64, len: u64, hint: FileTypeHint) {
-        EdcPipeline::set_hint(self, offset, len, hint)
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        EdcPipeline::set_fault_plan(self, plan)
-    }
-
-    fn fault_stats(&mut self) -> FaultStats {
-        EdcPipeline::fault_stats(self)
-    }
-
-    fn truncate_journal_bytes(&mut self, shard: usize, bytes: usize) {
-        assert_eq!(shard, 0, "a plain pipeline has only shard 0");
-        EdcPipeline::truncate_journal_bytes(self, bytes)
-    }
-
-    fn cut_power(&mut self) {
-        EdcPipeline::cut_power(self)
-    }
-
-    fn powered(&mut self) -> bool {
-        EdcPipeline::powered(self)
-    }
-
-    fn stats(&mut self) -> PipelineStats {
-        EdcPipeline::stats(self)
-    }
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn live_stored_bytes(&mut self) -> u64 {
-        EdcPipeline::live_stored_bytes(self)
-    }
-}
-
 /// XOR of a payload's zero-padded 4 KiB pages: the run's parity page.
 /// Any single payload page equals this XORed with all the other pages.
 fn xor_parity(payload: &[u8]) -> Vec<u8> {

@@ -1,22 +1,23 @@
 //! Deterministic record/replay: the `.edcrr` log format.
 //!
-//! A [`Recorder`] captures every [`Op`] dispatched to a [`Store`],
-//! together with the timestamp drawn from the [`Clock`] and a digest of
-//! the op's observable
-//! output, into a compact length-prefixed binary log. A [`Replayer`]
-//! rebuilds a fresh store from the log's [`StoreSpec`] header, re-applies
-//! every op with the recorded timestamps, and diffs the output digests —
-//! any fuzz crash, power-cut loss, or fault-campaign anomaly becomes a
-//! replayable artifact and a golden test, the same trick `wasm-rr` uses.
+//! A [`Recorder`] captures every [`Op`] dispatched to a
+//! [`ShardedPipeline`], together with the timestamp drawn from the
+//! [`Clock`] and a digest of the op's observable output, into a compact
+//! length-prefixed binary log. A [`Replayer`] rebuilds a fresh store from
+//! the log's [`StoreSpec`] header, re-applies every op with the recorded
+//! timestamps through [`ShardedPipeline::dispatch`], and diffs the output
+//! digests — any fuzz crash, power-cut loss, or fault-campaign anomaly
+//! becomes a replayable artifact and a golden test, the same trick
+//! `wasm-rr` uses.
 //!
 //! Determinism rests on three design decisions made elsewhere:
 //! timestamps are recorded inputs (not sampled by the store), fault
 //! decisions are a pure function of `(seed, draw counter)`
-//! ([`edc_flash::FaultState`]), and parallel compression is bit-identical
-//! to serial. Given those, `(spec, ops, timestamps)` determines every
-//! observable output, so a digest mismatch on replay is a real
-//! behavioural divergence — a changed codec choice, allocation, fault
-//! landing point, or recovered state.
+//! ([`edc_flash::FaultState`]), and a run is compressed on the calling
+//! thread when it seals. Given those, `(spec, ops, timestamps)`
+//! determines every observable output, so a digest mismatch on replay is
+//! a real behavioural divergence — a changed codec choice, allocation,
+//! fault landing point, or recovered state.
 //!
 //! ## Wire format
 //!
@@ -33,7 +34,7 @@
 use crate::clock::Clock;
 use crate::pipeline::{EdcPipeline, PipelineConfig};
 use crate::shard::{ShardConfig, ShardedPipeline};
-use crate::store::{Op, OpOutput, Store};
+use crate::store::{Op, OpOutput};
 use edc_compress::checksum64;
 use edc_flash::{FaultPlan, FAULT_PLAN_BYTES};
 
@@ -56,8 +57,10 @@ pub const SPEC_BYTES: usize = 40 + FAULT_PLAN_BYTES;
 pub struct StoreSpec {
     /// Device capacity in bytes (split evenly across shards).
     pub capacity_bytes: u64,
-    /// Shard count; `0` builds a plain [`EdcPipeline`], `1..=16` a
-    /// [`ShardedPipeline`].
+    /// Shard count; `1..=16` builds a [`ShardedPipeline`] of that many
+    /// shards, and `0` a plain [`EdcPipeline`] adopted as one shard
+    /// ([`ShardedPipeline::from_pipeline`]: no extent routing, no
+    /// per-shard heat extents).
     pub shards: u32,
     /// Extent size in 4 KiB blocks (sharded stores only).
     pub extent_blocks: u64,
@@ -182,18 +185,21 @@ impl StoreSpec {
     /// Panics if the spec violates store invariants (shards > 16,
     /// capacity below one block per shard) — validate specs from
     /// untrusted bytes with [`StoreSpec::validate`] first.
-    pub fn build(&self) -> Box<dyn Store> {
+    pub fn build(&self) -> ShardedPipeline {
         if self.shards == 0 {
-            Box::new(EdcPipeline::new(self.capacity_bytes, self.pipeline_config()))
+            ShardedPipeline::from_pipeline(EdcPipeline::new(
+                self.capacity_bytes,
+                self.pipeline_config(),
+            ))
         } else {
-            Box::new(ShardedPipeline::new(
+            ShardedPipeline::new(
                 self.capacity_bytes,
                 ShardConfig {
                     shards: self.shards as usize,
                     extent_blocks: self.extent_blocks,
                     pipeline: self.pipeline_config(),
                 },
-            ))
+            )
         }
     }
 
@@ -265,15 +271,11 @@ impl Recorder {
         self.ops += 1;
     }
 
-    /// Draw a timestamp from `clock`, dispatch `op` against `store`,
-    /// record the outcome, and hand the output back — the one-liner that
-    /// makes any driver loop a recorded driver loop.
-    pub fn apply<S: Store + ?Sized>(
-        &mut self,
-        store: &mut S,
-        clock: &mut impl Clock,
-        op: &Op,
-    ) -> OpOutput {
+    /// Draw a timestamp from `clock`, dispatch `op` against `store`
+    /// ([`ShardedPipeline::dispatch`]), record the outcome, and hand the
+    /// output back — the one-liner that makes any driver loop a recorded
+    /// driver loop.
+    pub fn apply(&mut self, store: &ShardedPipeline, clock: &mut impl Clock, op: &Op) -> OpOutput {
         let now_ns = clock.now_ns();
         let output = store.dispatch(now_ns, op);
         self.record(now_ns, op, &output);
@@ -523,8 +525,7 @@ impl Replayer {
     /// every op with its recorded timestamp, diffing output digests.
     pub fn replay(bytes: &[u8]) -> Result<ReplayReport, String> {
         let log = parse(bytes)?;
-        let mut store = log.spec.build();
-        Ok(Self::replay_against(store.as_mut(), &log))
+        Ok(Self::replay_against(&log.spec.build(), &log))
     }
 
     /// Replay `bytes` onto a fresh store built from `target`, refusing
@@ -539,15 +540,16 @@ impl Replayer {
     pub fn replay_as(target: &StoreSpec, bytes: &[u8]) -> Result<ReplayReport, ReplayRefusal> {
         let log = parse(bytes).map_err(ReplayRefusal::Parse)?;
         target.require_matches(&log.spec)?;
-        let mut store = target.build();
-        Ok(Self::replay_against(store.as_mut(), &log))
+        Ok(Self::replay_against(&target.build(), &log))
     }
 
     /// Replay an already-parsed log against a caller-provided store —
-    /// the hook for stores with non-default ladders or estimators. The
-    /// store must be freshly built to the same shape the log records, or
-    /// every digest will (rightly) diverge.
-    pub fn replay_against(store: &mut dyn Store, log: &ParsedLog) -> ReplayReport {
+    /// the hook for stores with non-default ladders or estimators (a
+    /// custom plain pipeline goes in through
+    /// [`ShardedPipeline::from_pipeline`]). The store must be freshly
+    /// built to the same shape the log records, or every digest will
+    /// (rightly) diverge.
+    pub fn replay_against(store: &ShardedPipeline, log: &ParsedLog) -> ReplayReport {
         let mut report =
             ReplayReport { ops: 0, divergences: Vec::new(), torn_tail: log.torn_tail };
         for (i, rec) in log.records.iter().enumerate() {
@@ -591,7 +593,7 @@ mod tests {
     }
 
     fn drive(spec: StoreSpec) -> Vec<u8> {
-        let mut store = spec.build();
+        let store = spec.build();
         let mut clock = ManualClock::new(0, 1_000_000);
         let mut rec = Recorder::new(spec);
         let ops = [
@@ -607,7 +609,7 @@ mod tests {
             Op::Stats,
         ];
         for op in &ops {
-            rec.apply(store.as_mut(), &mut clock, op);
+            rec.apply(&store, &mut clock, op);
         }
         rec.into_bytes()
     }
@@ -717,21 +719,21 @@ mod tests {
             },
             ..StoreSpec::default()
         };
-        let mut store = spec.build();
+        let store = spec.build();
         let mut clock = ManualClock::new(0, 500_000);
         let mut rec = Recorder::new(spec);
         for i in 0..24u64 {
             let fill = vec![(i % 251) as u8; 8192];
-            rec.apply(store.as_mut(), &mut clock, &Op::Write { offset: i * 8192, data: fill });
+            rec.apply(&store, &mut clock, &Op::Write { offset: i * 8192, data: fill });
         }
-        rec.apply(store.as_mut(), &mut clock, &Op::Flush);
+        rec.apply(&store, &mut clock, &Op::Flush);
         for i in 0..24u64 {
-            rec.apply(store.as_mut(), &mut clock, &Op::Read { offset: i * 8192, len: 8192 });
+            rec.apply(&store, &mut clock, &Op::Read { offset: i * 8192, len: 8192 });
         }
-        rec.apply(store.as_mut(), &mut clock, &Op::PowerCut);
-        rec.apply(store.as_mut(), &mut clock, &Op::Recover);
-        rec.apply(store.as_mut(), &mut clock, &Op::Scrub);
-        rec.apply(store.as_mut(), &mut clock, &Op::Stats);
+        rec.apply(&store, &mut clock, &Op::PowerCut);
+        rec.apply(&store, &mut clock, &Op::Recover);
+        rec.apply(&store, &mut clock, &Op::Scrub);
+        rec.apply(&store, &mut clock, &Op::Stats);
         let report = Replayer::replay(rec.bytes()).expect("parse");
         assert!(report.is_exact(), "divergences: {:?}", report.divergences);
     }

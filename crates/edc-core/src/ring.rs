@@ -8,14 +8,13 @@
 //! codec work: callers enqueue ops on fixed-depth per-shard submission
 //! queues and immediately move on; one drainer thread per shard takes the
 //! whole queue in a single lock acquisition (a batched doorbell),
-//! dispatches it against the shard's pipeline — adjacent same-kind ops
-//! grouped under one shard-lock acquisition, each op through
-//! [`Store::dispatch`] like on the blocking path — and posts typed
-//! completion records group by group, as each lands, so waiters resubmit
-//! while the rest of the batch is still dispatching. The pipeline stores
-//! a run the moment it seals, group or no group: a coalesced group
-//! amortises the shard lock and the completion post, not compression.
-//! Callers harvest completions with
+//! dispatches it group by group — a group is a run of adjacent same-kind
+//! ops, each op through [`ShardedPipeline::dispatch`] exactly as on the
+//! blocking path — and posts typed completion records group by group, as
+//! each lands, so waiters resubmit while the rest of the batch is still
+//! dispatching. The pipeline stores a run the moment it seals, group or
+//! no group: a coalesced group amortises the completion post and its
+//! wakeup, not compression. Callers harvest completions with
 //! [`Ring::wait`] / [`Ring::try_reap`] / [`Ring::drain`]. Queue depth,
 //! not thread count, now drives device saturation: a handful of
 //! submitter threads keep every shard and its dwell-modelled media busy.
@@ -37,23 +36,20 @@
 //! like the blocking sharded front-end. Ops are validated at submission:
 //! only data-plane ops ([`Op::Write`], [`Op::Read`]) whose footprint
 //! lies within a single extent (hence a single shard) are accepted;
-//! control-plane ops stay on the blocking [`Store`]
-//! surface, to be used while the ring is quiescent.
+//! control-plane ops stay on the blocking [`ShardedPipeline`] surface, to
+//! be used while the ring is quiescent.
 //!
 //! ## Determinism and record/replay
 //!
-//! A drainer serializes its shard's ops in submission order and turns
-//! each into a call at the one place the blocking path does —
-//! [`Store::dispatch`] on the shard's pipeline — and ops on different
-//! shards touch disjoint state, so any interleaving of drains produces
-//! the same per-shard state trajectory and the same per-op outputs as
-//! dispatching the ops one at a time: ring completions are bit-identical
-//! to the blocking path's, writes and typed errors included, under
-//! injected faults and mid-drain power cuts (`tests/proptest_ring.rs`
-//! proves it). [`Ring::serve_recorded`] wires a [`Recorder`] into the
-//! drainers: the same grouping, with every op also recorded in drain
-//! order, yielding a `.edcrr` log that replays bit-exactly through the
-//! blocking `Store` path.
+//! A drainer serializes its shard's ops in submission order and hands
+//! each to [`ShardedPipeline::dispatch`]. An accepted op touches only its
+//! own shard, so any interleaving of drains produces the same per-shard
+//! state and the same per-op outputs as dispatching the ops one at a
+//! time: ring completions are bit-identical to the blocking path's,
+//! writes and typed errors included, under injected faults and mid-drain
+//! power cuts (`tests/proptest_ring.rs`). [`Ring::serve_recorded`] also
+//! records every op in drain order, so the `.edcrr` log it yields replays
+//! bit-exactly through the blocking path.
 //!
 //! ## Cooperative draining
 //!
@@ -70,20 +66,13 @@
 use crate::record::Recorder;
 use crate::scheme::BLOCK_BYTES;
 use crate::shard::ShardedPipeline;
-use crate::store::{Op, OpOutput, Store};
+use crate::store::{Op, OpOutput};
 use crate::telemetry::{Sample, TieredSeries};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
-
-/// Cap on how many adjacent same-kind ops one dispatch group coalesces. A
-/// group holds its shard until its last op is dispatched and its riders'
-/// completions post only when the group lands, so the cap bounds
-/// completion staleness under deep queues while still amortizing the
-/// shard lock and the completion post across many ops.
-const MAX_COALESCE: usize = 16;
 
 /// Configuration of a [`Ring`].
 #[derive(Debug, Clone, Copy)]
@@ -120,7 +109,7 @@ pub enum RingError {
     /// to more than one shard; split it at extent boundaries first.
     CrossShard,
     /// Only data-plane ops (`Write`, `Read`) ride the ring; the named
-    /// control-plane op belongs on the blocking `Store` surface.
+    /// control-plane op is dispatched on the store directly.
     Unsupported(&'static str),
     /// `offset + len` does not fit the 64-bit byte address space.
     OutOfRange,
@@ -139,7 +128,7 @@ impl std::fmt::Display for RingError {
                 write!(f, "op footprint spans shards; split at extent boundaries")
             }
             RingError::Unsupported(kind) => {
-                write!(f, "op `{kind}` is control-plane; use the blocking Store surface")
+                write!(f, "op `{kind}` is control-plane; dispatch it on the store directly")
             }
             RingError::OutOfRange => write!(f, "op runs past the end of the address space"),
             RingError::UnknownTicket => write!(f, "ticket unknown or already reaped"),
@@ -180,8 +169,8 @@ pub struct RingStats {
     pub rejected_full: u64,
     /// Batches taken off submission queues (doorbell rings).
     pub drained_batches: u64,
-    /// Groups of ≥ 2 adjacent writes dispatched under one shard-lock
-    /// acquisition.
+    /// Groups of ≥ 2 adjacent writes dispatched with one completion
+    /// post.
     pub coalesced_groups: u64,
     /// Writes that rode a coalesced group.
     pub coalesced_writes: u64,
@@ -293,7 +282,7 @@ impl<'a> Ring<'a> {
 
     /// [`Ring::serve`] with a [`Recorder`] wired into the drainers:
     /// every op is also recorded, in drain order. The resulting log
-    /// replays bit-exactly through the blocking `Store` path.
+    /// replays bit-exactly through the blocking path.
     pub fn serve_recorded<T>(
         store: &ShardedPipeline,
         config: RingConfig,
@@ -611,7 +600,7 @@ impl<'a> Ring<'a> {
 
         let mut idx = 0;
         while idx < batch.len() {
-            let (next, outs) = self.dispatch_group(s, &batch, idx);
+            let (next, outs) = self.dispatch_group(&batch, idx);
             let done = Instant::now();
             let mean_us = batch[idx..next]
                 .iter()
@@ -644,27 +633,18 @@ impl<'a> Ring<'a> {
         st
     }
 
-    /// Dispatch the next group of `batch` starting at index `i` against
-    /// shard `s`, returning the index past the group plus its
-    /// `(seq, output)` pairs in batch order. A group is a run of adjacent
-    /// same-kind ops (capped at [`MAX_COALESCE`]) sharing one shard-lock
-    /// acquisition; inside it every op goes through [`Store::dispatch`] on
-    /// its own — the blocking path's exact effect and output, so a power
-    /// cut mid-group fails the op that hit it and the ones behind it, each
-    /// with its own typed error — and is logged in drain order when a
-    /// recorder is attached.
-    fn dispatch_group(
-        &self,
-        s: usize,
-        batch: &[Pending],
-        i: usize,
-    ) -> (usize, Vec<(u64, OpOutput)>) {
+    /// Dispatch the next group of `batch` starting at index `i`, returning
+    /// the index past the group plus its `(seq, output)` pairs in batch
+    /// order. A group is a run of adjacent same-kind ops whose completions
+    /// post together; inside it every op goes through
+    /// [`ShardedPipeline::dispatch`] on its own — the blocking path's exact
+    /// effect and output, so a power cut mid-group fails the op that hit
+    /// it and the ones behind it, each with its own typed error — and is
+    /// logged in drain order when a recorder is attached.
+    fn dispatch_group(&self, batch: &[Pending], i: usize) -> (usize, Vec<(u64, OpOutput)>) {
         let writes = matches!(batch[i].op, Op::Write { .. });
         let mut j = i + 1;
-        while j < batch.len()
-            && j - i < MAX_COALESCE
-            && matches!(batch[j].op, Op::Write { .. }) == writes
-        {
+        while j < batch.len() && matches!(batch[j].op, Op::Write { .. }) == writes {
             j += 1;
         }
         let group = &batch[i..j];
@@ -672,18 +652,16 @@ impl<'a> Ring<'a> {
             self.counters.coalesced_groups.fetch_add(1, Relaxed);
             self.counters.coalesced_writes.fetch_add(group.len() as u64, Relaxed);
         }
-        let outs = self.store.with_shard(s, |pipe| {
-            group
-                .iter()
-                .map(|p| {
-                    let out = pipe.dispatch(p.now_ns, &p.op);
-                    if let Some(rec) = self.recorder {
-                        rec.lock().expect("recorder poisoned").record(p.now_ns, &p.op, &out);
-                    }
-                    (p.seq, out)
-                })
-                .collect()
-        });
+        let outs = group
+            .iter()
+            .map(|p| {
+                let out = self.store.dispatch(p.now_ns, &p.op);
+                if let Some(rec) = self.recorder {
+                    rec.lock().expect("recorder poisoned").record(p.now_ns, &p.op, &out);
+                }
+                (p.seq, out)
+            })
+            .collect();
         (j, outs)
     }
 
@@ -741,7 +719,7 @@ mod tests {
         let ops: Vec<Op> = (0..3u64)
             .map(|i| Op::Write { offset: i * 3 * 4096, data: vec![b'a' + i as u8; 4096] })
             .collect();
-        let mut blocking = store(1);
+        let blocking = store(1);
         let want: Vec<OpOutput> =
             ops.iter().zip(0u64..).map(|(op, now)| blocking.dispatch(now, op)).collect();
         assert!(matches!(&want[0], OpOutput::Writes(r) if r.is_empty()));

@@ -20,14 +20,19 @@
 //! round-robin spreads hot ranges across all shards. Writes and reads
 //! spanning an extent boundary are split and routed piecewise.
 //!
+//! This is the only store type ops are dispatched to:
+//! [`ShardedPipeline::dispatch`] (in [`crate::store`], beside
+//! [`Op`](crate::store::Op)) serves the recorder, the replayer and the
+//! ring, and a plain pipeline takes part as a one-shard store through
+//! [`ShardedPipeline::from_pipeline`].
+//!
 //! ## Per-shard journals
 //!
 //! Every shard owns a [`crate::journal::MappingJournal`] whose records
-//! carry the shard id in tag-byte bits 3–6. The record layout is
-//! unchanged, and a pre-sharding journal (all shard bits zero) replays
-//! exactly as shard 0's stream — [`ShardedPipeline::from_pipeline`]
-//! adopts such a legacy store as a one-shard front-end and
-//! [`ShardedPipeline::recover`] replays it unchanged. A record that
+//! carry the shard id in tag-byte bits 3–6. A pre-sharding journal (all
+//! shard bits zero) replays exactly as shard 0's stream, so a store
+//! adopted through [`ShardedPipeline::from_pipeline`] recovers through
+//! [`ShardedPipeline::recover`] unchanged. A record that
 //! decodes cleanly but names a different shard aborts that shard's
 //! recovery instead of silently serving another shard's data.
 //!
@@ -126,10 +131,13 @@ impl ShardedPipeline {
         }
     }
 
-    /// Adopt an existing single-owner pipeline — typically a legacy store
-    /// whose journal predates sharding (shard bits all zero) — as a
-    /// one-shard front-end. [`ShardedPipeline::recover`] then replays the
-    /// old journal unchanged.
+    /// Adopt an existing single-owner pipeline as a one-shard front-end
+    /// that behaves exactly like the pipeline itself: its journal stays
+    /// shard 0, its fault plan's seed is kept (lane 0), every request is
+    /// one piece, and its heat extents are left as configured. This is how
+    /// a `shards = 0` [`StoreSpec`](crate::record::StoreSpec) builds, and
+    /// how a store whose journal predates sharding (shard bits all zero)
+    /// is recovered.
     pub fn from_pipeline(pipeline: EdcPipeline) -> Self {
         assert_eq!(
             pipeline.config().journal_shard,
@@ -270,14 +278,21 @@ impl ShardedPipeline {
             return Err(ReadError::OutOfRange);
         }
         let pieces = self.pieces(offset, len).ok_or(ReadError::OutOfRange)?;
-        let mut out = vec![0u8; len as usize];
+        // Pieces are contiguous and in address order: the first one's
+        // buffer becomes the result and the rest append to it.
+        let mut out = Vec::new();
         for p in pieces {
-            let piece = {
-                let mut shard = self.shards[p.shard].lock().expect("shard poisoned");
-                shard.read(now_ns, p.offset, p.len)?
-            };
-            let dst = (p.offset - offset) as usize;
-            out[dst..dst + piece.len()].copy_from_slice(&piece);
+            let piece = self.shards[p.shard].lock().expect("shard poisoned").read(
+                now_ns,
+                p.offset,
+                p.len,
+            )?;
+            if out.is_empty() {
+                out = piece;
+                out.reserve_exact(len as usize - out.len());
+            } else {
+                out.extend_from_slice(&piece);
+            }
         }
         Ok(out)
     }
@@ -380,17 +395,15 @@ impl ShardedPipeline {
     }
 
     /// Register a file-type hint over `[offset, offset + len)` (both
-    /// 4 KiB-aligned), routed piecewise to the owning shards — the same
-    /// surface as [`EdcPipeline::set_hint`], so callers no longer reach
-    /// through [`ShardedPipeline::with_shard`].
+    /// 4 KiB-aligned, `len > 0`; see [`EdcPipeline::set_hint`]). Every
+    /// shard gets the whole range, so the cost is one registration per
+    /// shard whatever the length. A shard only looks hints up at the
+    /// starts of runs it owns, and later hints win per block, so each
+    /// block resolves exactly as if the range had been split at extent
+    /// boundaries.
     pub fn set_hint(&self, offset: u64, len: u64, hint: crate::hints::FileTypeHint) {
-        assert!(
-            offset.is_multiple_of(BLOCK_BYTES) && len.is_multiple_of(BLOCK_BYTES),
-            "hint range must be aligned"
-        );
-        let pieces = self.pieces(offset, len).expect("hint range must fit the address space");
-        for p in pieces {
-            self.shards[p.shard].lock().expect("shard poisoned").set_hint(p.offset, p.len, hint);
+        for m in &self.shards {
+            m.lock().expect("shard poisoned").set_hint(offset, len, hint);
         }
     }
 
@@ -455,81 +468,6 @@ impl ShardedPipeline {
             report.merge(&r?);
         }
         Ok(report)
-    }
-}
-
-impl crate::store::Store for ShardedPipeline {
-    fn write_batch(&mut self, writes: &[BatchWrite<'_>]) -> Result<Vec<WriteResult>, EdcError> {
-        ShardedPipeline::write_batch(self, writes)
-    }
-
-    fn read(&mut self, now_ns: u64, offset: u64, len: u64) -> Result<Vec<u8>, ReadError> {
-        ShardedPipeline::read(self, now_ns, offset, len)
-    }
-
-    fn flush_all(&mut self, now_ns: u64) -> Result<Vec<WriteResult>, EdcError> {
-        ShardedPipeline::flush_all(self, now_ns)
-    }
-
-    fn recover(&mut self) -> Result<RecoveryReport, RecoveryError> {
-        ShardedPipeline::recover(self)
-    }
-
-    fn scrub(&mut self) -> Result<ScrubReport, EdcError> {
-        ShardedPipeline::scrub(self)
-    }
-
-    fn verify_store(&mut self) -> Result<ScrubReport, EdcError> {
-        ShardedPipeline::verify(self)
-    }
-
-    fn verify_dedup(&mut self) -> Result<DedupReport, EdcError> {
-        ShardedPipeline::verify_dedup(self)
-    }
-
-    fn recompress(
-        &mut self,
-        now_ns: u64,
-        target: CodecId,
-        max_rewrites: usize,
-    ) -> Result<RecompressReport, EdcError> {
-        ShardedPipeline::recompress(self, now_ns, target, max_rewrites)
-    }
-
-    fn set_hint(&mut self, offset: u64, len: u64, hint: crate::hints::FileTypeHint) {
-        ShardedPipeline::set_hint(self, offset, len, hint)
-    }
-
-    fn set_fault_plan(&mut self, plan: edc_flash::FaultPlan) {
-        ShardedPipeline::set_fault_plan(self, plan)
-    }
-
-    fn fault_stats(&mut self) -> edc_flash::FaultStats {
-        ShardedPipeline::fault_stats(self)
-    }
-
-    fn truncate_journal_bytes(&mut self, shard: usize, bytes: usize) {
-        ShardedPipeline::truncate_journal_bytes(self, shard, bytes)
-    }
-
-    fn cut_power(&mut self) {
-        ShardedPipeline::cut_power(self)
-    }
-
-    fn powered(&mut self) -> bool {
-        ShardedPipeline::powered(self)
-    }
-
-    fn stats(&mut self) -> PipelineStats {
-        ShardedPipeline::stats(self)
-    }
-
-    fn shard_count(&self) -> usize {
-        ShardedPipeline::shard_count(self)
-    }
-
-    fn live_stored_bytes(&mut self) -> u64 {
-        ShardedPipeline::live_stored_bytes(self)
     }
 }
 

@@ -1,19 +1,14 @@
-//! The unified op-dispatch surface: one serializable [`Op`] enum, one
-//! [`Store`] trait, one [`Store::dispatch`] entry point.
+//! The op-dispatch surface: one serializable [`Op`] enum and one entry
+//! point, [`ShardedPipeline::dispatch`].
 //!
-//! Before this module the pipeline had two front-ends with diverging
-//! method sets — [`EdcPipeline`](crate::pipeline::EdcPipeline)
-//! (`&mut self`, `now_ns` hand-threaded through every call) and
-//! [`ShardedPipeline`](crate::shard::ShardedPipeline) (`&self`, missing
-//! `set_hint`/`truncate_journal_bytes`/`fault_stats`) — which made
-//! "record every entry point" impossible: there was no single surface to
-//! record. [`Op`] closes that: every externally observable mutation of a
-//! store is a value that can be encoded to bytes, logged, hashed and
-//! replayed, and [`Store`] is implemented by both front-ends so the
-//! recorder ([`crate::record`]) is generic over them. The async ring
-//! ([`crate::ring`]) has no dispatch of its own either: a drainer calls
-//! [`Store::dispatch`] on its shard's pipeline, op by op, so a ring
-//! completion is the blocking path's output by construction.
+//! Every externally observable mutation of a store is an [`Op`]: a value
+//! that can be encoded to bytes, logged, hashed and replayed.
+//! [`ShardedPipeline::dispatch`] is the one place an op becomes a call.
+//! The recorder and replayer ([`crate::record`]) and the async ring's
+//! drainers ([`crate::ring`]) all go through it, so a ring completion is
+//! the blocking path's output by construction. A plain single-owner
+//! pipeline is dispatched to as a one-shard store
+//! ([`ShardedPipeline::from_pipeline`]).
 //!
 //! Outputs are summarized as [`OpOutput`] and digested to a `u64`
 //! ([`OpOutput::digest`]) so a replay can diff observable behaviour
@@ -29,13 +24,14 @@ use crate::pipeline::{
     BatchWrite, PipelineStats, ReadError, RecompressReport, RecoveryReport, ScrubReport,
     WriteResult,
 };
+use crate::shard::ShardedPipeline;
 use edc_compress::{checksum64, CodecId};
-use edc_flash::{FaultPlan, FaultStats, FAULT_PLAN_BYTES};
+use edc_flash::{FaultPlan, FAULT_PLAN_BYTES};
 
 /// One serializable store operation — the unit of record/replay.
 ///
-/// Each op corresponds to one [`Store`] entry point; the timestamp is
-/// *not* part of the op because time is drawn from a
+/// Each op corresponds to one [`ShardedPipeline`] entry point; the
+/// timestamp is *not* part of the op because time is drawn from a
 /// [`Clock`](crate::clock::Clock) by the dispatcher and recorded
 /// alongside the op (time is an input, see [`crate::clock`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -59,13 +55,13 @@ pub enum Op {
         /// Length in bytes (4 KiB-aligned).
         len: u64,
     },
-    /// Store every buffered run ([`Store::flush_all`]).
+    /// Store every buffered run ([`ShardedPipeline::flush_all`]).
     Flush,
-    /// Verify-and-heal pass over every live run ([`Store::scrub`]).
+    /// Verify-and-heal pass over every live run ([`ShardedPipeline::scrub`]).
     Scrub,
-    /// Read-only integrity audit ([`Store::verify_store`]).
+    /// Read-only integrity audit ([`ShardedPipeline::verify`]).
     Verify,
-    /// Rebuild the mapping from the journal ([`Store::recover`]) —
+    /// Rebuild the mapping from the journal ([`ShardedPipeline::recover`]) —
     /// typically after a [`Op::PowerCut`].
     Recover,
     /// Heat-aware background recompression pass.
@@ -101,7 +97,7 @@ pub enum Op {
     /// diff the full [`PipelineStats`] at that point.
     Stats,
     /// Cross-check the dedup refcount ledger against the mapping table
-    /// both ways ([`Store::verify_dedup`]).
+    /// both ways ([`ShardedPipeline::verify_dedup`]).
     VerifyDedup,
 }
 
@@ -473,85 +469,14 @@ impl OpOutput {
     }
 }
 
-/// The unified store surface implemented by both
-/// [`EdcPipeline`](crate::pipeline::EdcPipeline) and
-/// [`ShardedPipeline`](crate::shard::ShardedPipeline).
-///
-/// All methods take `&mut self` so the trait is object-safe over both
-/// front-ends (the sharded store's interior locking makes its `&mut`
-/// impls trivially delegate to its `&self` inherent methods). The
-/// provided [`Store::dispatch`] is the single entry point the recorder
-/// and replayer use: every effect a log can describe funnels through it.
-pub trait Store {
-    /// Accept a batch of writes (see
-    /// [`EdcPipeline::write_batch`](crate::pipeline::EdcPipeline::write_batch)).
-    fn write_batch(&mut self, writes: &[BatchWrite<'_>]) -> Result<Vec<WriteResult>, EdcError>;
-
-    /// Read `len` bytes at `offset` (both 4 KiB-aligned).
-    fn read(&mut self, now_ns: u64, offset: u64, len: u64) -> Result<Vec<u8>, ReadError>;
-
-    /// Drain all buffered and sealed runs.
-    fn flush_all(&mut self, now_ns: u64) -> Result<Vec<WriteResult>, EdcError>;
-
-    /// Rebuild the mapping table from the journal (after a power cut).
-    fn recover(&mut self) -> Result<RecoveryReport, crate::journal::RecoveryError>;
-
-    /// Verify-and-heal pass over every live run.
-    fn scrub(&mut self) -> Result<ScrubReport, EdcError>;
-
-    /// Read-only integrity audit; nothing is healed or rewritten.
-    fn verify_store(&mut self) -> Result<ScrubReport, EdcError>;
-
-    /// Cross-check the dedup refcount ledger against the mapping table
-    /// both ways (summed over shards); read-only.
-    fn verify_dedup(&mut self) -> Result<DedupReport, EdcError>;
-
-    /// Heat-aware background recompression; `max_rewrites` is the budget
-    /// per shard on a sharded store.
-    fn recompress(
-        &mut self,
-        now_ns: u64,
-        target: CodecId,
-        max_rewrites: usize,
-    ) -> Result<RecompressReport, EdcError>;
-
-    /// Register a file-type hint over `[offset, offset + len)` (both
-    /// 4 KiB-aligned).
-    fn set_hint(&mut self, offset: u64, len: u64, hint: FileTypeHint);
-
-    /// Replace the fault plan, restarting the decision stream. A sharded
-    /// store decorrelates shards by mixing the shard index into the seed
-    /// (shard 0 keeps the plan's seed verbatim).
-    fn set_fault_plan(&mut self, plan: FaultPlan);
-
-    /// Injected-fault counters so far (summed over shards).
-    fn fault_stats(&mut self) -> FaultStats;
-
-    /// Tear shard `shard`'s journal to its first `bytes` bytes.
-    fn truncate_journal_bytes(&mut self, shard: usize, bytes: usize);
-
-    /// Cut power on every shard immediately.
-    fn cut_power(&mut self);
-
-    /// Whether every shard currently has power.
-    fn powered(&mut self) -> bool;
-
-    /// One aggregate counter snapshot.
-    fn stats(&mut self) -> PipelineStats;
-
-    /// Number of shards (1 for a plain pipeline).
-    fn shard_count(&self) -> usize;
-
-    /// Current live on-flash footprint in bytes.
-    fn live_stored_bytes(&mut self) -> u64;
-
+impl ShardedPipeline {
     /// Apply one op at time `now_ns` — the single dispatch point of the
-    /// whole API. Invalid parameters (unaligned hint ranges, out-of-range
-    /// shard indices, reads and writes running past the address space or
-    /// the device) come back as [`OpOutput::Err`], never a panic or an
-    /// unbounded allocation, so a corrupt or adversarial log replays
-    /// safely.
-    fn dispatch(&mut self, now_ns: u64, op: &Op) -> OpOutput {
+    /// whole API. Invalid parameters (unaligned or empty hint ranges,
+    /// out-of-range shard indices, reads and writes running past the
+    /// address space or the device) come back as [`OpOutput::Err`], never
+    /// a panic or an unbounded allocation, so a corrupt or adversarial log
+    /// replays safely.
+    pub fn dispatch(&self, now_ns: u64, op: &Op) -> OpOutput {
         match op {
             Op::Write { offset, data } => OpOutput::from_writes(self.write_batch(&[BatchWrite {
                 now_ns,
@@ -571,7 +496,7 @@ pub trait Store {
                 Ok(r) => OpOutput::Scrub(r),
                 Err(e) => OpOutput::Err(e.to_string()),
             },
-            Op::Verify => match self.verify_store() {
+            Op::Verify => match self.verify() {
                 Ok(r) => OpOutput::Scrub(r),
                 Err(e) => OpOutput::Err(e.to_string()),
             },
@@ -591,6 +516,9 @@ pub trait Store {
                     || !len.is_multiple_of(crate::scheme::BLOCK_BYTES)
                 {
                     return OpOutput::Err("unaligned hint range".to_string());
+                }
+                if *len == 0 {
+                    return OpOutput::Err("empty hint range".to_string());
                 }
                 if offset.checked_add(*len).is_none() {
                     return OpOutput::Err("hint range out of bounds".to_string());
@@ -685,57 +613,116 @@ mod tests {
         assert_eq!(Op::decode(&[0xFF]), None);
     }
 
-    #[test]
-    fn adversarial_ranges_come_back_typed_on_every_front_end() {
+    /// The three store shapes a log can name: a plain pipeline adopted as
+    /// one shard (`shards = 0`), and one and two shards.
+    fn fresh_stores() -> [ShardedPipeline; 3] {
         use crate::pipeline::{EdcPipeline, PipelineConfig};
-        use crate::ring::{Ring, RingConfig, RingError};
-        use crate::shard::{ShardConfig, ShardedPipeline};
-
-        // Well-formed ops a corrupt or hostile log can carry: a read far
-        // larger than any device, and a read and a write whose end wraps
-        // the 64-bit address space.
-        let table = [
-            (Op::Read { offset: 0, len: 1 << 46 }, "read runs past"),
-            (Op::Read { offset: u64::MAX - 4095, len: 8192 }, "read runs past"),
-            (Op::Write { offset: u64::MAX - 4095, data: vec![7u8; 8192] }, "write runs past"),
-        ];
+        use crate::shard::ShardConfig;
         let sharded = |shards| {
             ShardedPipeline::new(1 << 20, ShardConfig { shards, ..ShardConfig::default() })
         };
+        [
+            ShardedPipeline::from_pipeline(EdcPipeline::new(1 << 20, PipelineConfig::default())),
+            sharded(1),
+            sharded(2),
+        ]
+    }
+
+    #[test]
+    fn adversarial_ranges_come_back_typed_on_every_front_end() {
+        use crate::ring::{Ring, RingConfig, RingError};
+
+        // Well-formed ops a corrupt or hostile log can carry: a read far
+        // larger than any device, a read and a write whose end wraps the
+        // 64-bit address space, an empty hint range, and a hint range
+        // over a quarter of the address space (accepted: `Unit`).
+        let table = [
+            (Op::Read { offset: 0, len: 1 << 46 }, Some("read runs past")),
+            (Op::Read { offset: u64::MAX - 4095, len: 8192 }, Some("read runs past")),
+            (Op::Write { offset: u64::MAX - 4095, data: vec![7u8; 8192] }, Some("write runs past")),
+            (Op::SetHint { offset: 0, len: 0, hint: FileTypeHint::Text }, Some("empty hint range")),
+            (Op::SetHint { offset: 0, len: 1 << 62, hint: FileTypeHint::Text }, None),
+        ];
         for (op, want) in &table {
-            let mut stores: Vec<Box<dyn Store>> = vec![
-                Box::new(EdcPipeline::new(1 << 20, PipelineConfig::default())),
-                Box::new(sharded(1)),
-                Box::new(sharded(2)),
-            ];
-            for store in &mut stores {
-                match store.dispatch(0, op) {
-                    OpOutput::Err(msg) => assert!(msg.contains(want), "{op:?}: {msg}"),
-                    other => panic!("{op:?} on {} shard(s): {other:?}", store.shard_count()),
-                }
-                // The refusal left the store usable.
+            let check = |out: OpOutput, path: &str| match (want, out) {
+                (Some(want), OpOutput::Err(msg)) => assert!(msg.contains(want), "{op:?}: {msg}"),
+                (None, OpOutput::Unit) => {}
+                (_, other) => panic!("{op:?} {path}: {other:?}"),
+            };
+            for store in fresh_stores() {
+                check(store.dispatch(0, op), &format!("on {} shard(s)", store.shard_count()));
+                // The op left the store usable.
                 let block = Op::Write { offset: 0, data: vec![1u8; 4096] };
                 assert!(matches!(store.dispatch(1, &block), OpOutput::Writes(_)));
                 let read = store.dispatch(2, &Op::Read { offset: 0, len: 4096 });
                 assert!(matches!(read, OpOutput::Read { len: 4096, .. }), "{read:?}");
             }
-            for shards in [1, 2] {
-                let store = sharded(shards);
+            for store in fresh_stores() {
                 Ring::serve(&store, RingConfig::default(), |ring| {
                     match ring.submit(0, op.clone()) {
                         // Refused at the door...
-                        Err(e) => {
-                            assert!(matches!(e, RingError::OutOfRange | RingError::CrossShard))
-                        }
+                        Err(e) => assert!(
+                            matches!(
+                                e,
+                                RingError::OutOfRange
+                                    | RingError::CrossShard
+                                    | RingError::Unsupported("set_hint")
+                            ),
+                            "{op:?}: {e}"
+                        ),
                         // ...or by the pipeline, exactly as on the blocking path.
-                        Ok(t) => match ring.wait(t).unwrap() {
-                            OpOutput::Err(msg) => assert!(msg.contains(want), "{op:?}: {msg}"),
-                            other => panic!("{op:?} through the ring: {other:?}"),
-                        },
+                        Ok(t) => check(ring.wait(t).unwrap(), "through the ring"),
                     }
                 });
             }
         }
+    }
+
+    #[test]
+    fn mutated_op_encodings_dispatch_without_panicking() {
+        use edc_datagen::rng::Rng64;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        // Values that sit on the boundaries `dispatch` has to police.
+        const INTERESTING: [u64; 7] =
+            [0, 1, 4096, 1 << 46, 1 << 62, u64::MAX - 4095, u64::MAX];
+        let seeds: Vec<Vec<u8>> = sample_ops().iter().map(Op::encode).collect();
+        let mut rng = Rng64::seed_from_u64(0xED_C0FF);
+        let mut decoded = 0;
+        for case in 0..2_000 {
+            let mut bytes = seeds[rng.below_usize(seeds.len())].clone();
+            for _ in 0..rng.range_usize(1, 4) {
+                match rng.below(4) {
+                    // Byte flip.
+                    0 if !bytes.is_empty() => {
+                        let i = rng.below_usize(bytes.len());
+                        bytes[i] ^= rng.range_u64(1, 256) as u8;
+                    }
+                    // A boundary value over any 8-byte window.
+                    1 if bytes.len() >= 8 => {
+                        let i = rng.below_usize(bytes.len() - 7);
+                        let v = INTERESTING[rng.below_usize(INTERESTING.len())];
+                        bytes[i..i + 8].copy_from_slice(&v.to_le_bytes());
+                    }
+                    // Truncation.
+                    2 => bytes.truncate(rng.below_usize(bytes.len() + 1)),
+                    // Splice: this prefix, another encoding's suffix.
+                    _ => {
+                        let other = &seeds[rng.below_usize(seeds.len())];
+                        bytes.truncate(rng.below_usize(bytes.len() + 1));
+                        bytes.extend_from_slice(&other[rng.below_usize(other.len() + 1)..]);
+                    }
+                }
+            }
+            let Some(op) = Op::decode(&bytes) else { continue };
+            decoded += 1;
+            for store in fresh_stores() {
+                let shards = store.shard_count();
+                let run = catch_unwind(AssertUnwindSafe(|| store.dispatch(1, &op)));
+                assert!(run.is_ok(), "case {case}: {op:?} panicked on {shards} shard(s)");
+            }
+        }
+        assert!(decoded > 300, "only {decoded} of 2000 mutants decoded");
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!    tail (never a panic), and the intact prefix still replays clean.
 
 use edc_core::pipeline::PipelineStats;
-use edc_core::store::{Op, Store};
-use edc_core::{parse_edcrr, FileTypeHint, ManualClock, Recorder, Replayer, StoreSpec};
+use edc_core::store::Op;
+use edc_core::{parse_edcrr, FileTypeHint, ManualClock, Recorder, Replayer, ShardedPipeline, StoreSpec};
 use edc_datagen::proptest::cases;
 use edc_datagen::rng::Rng64;
 use edc_flash::FaultPlan;
@@ -115,12 +115,12 @@ fn gen_schedule(rng: &mut Rng64, shards: u32) -> Vec<Op> {
 
 /// Record the schedule against a fresh store built from `spec`; returns
 /// the log bytes, the live store and its final stats.
-fn record(spec: &StoreSpec, ops: &[Op]) -> (Vec<u8>, Box<dyn Store>, PipelineStats) {
-    let mut store = spec.build();
+fn record(spec: &StoreSpec, ops: &[Op]) -> (Vec<u8>, ShardedPipeline, PipelineStats) {
+    let store = spec.build();
     let mut rec = Recorder::new(*spec);
     let mut clock = ManualClock::new(0, 2_000_000);
     for op in ops {
-        rec.apply(store.as_mut(), &mut clock, op);
+        rec.apply(&store, &mut clock, op);
     }
     let stats = store.stats();
     (rec.into_bytes(), store, stats)
@@ -138,13 +138,13 @@ fn check_round_trip(rng: &mut Rng64, shards: u32) {
         ..StoreSpec::default()
     };
     let ops = gen_schedule(rng, shards);
-    let (bytes, mut original, original_stats) = record(&spec, &ops);
+    let (bytes, original, original_stats) = record(&spec, &ops);
 
     // 1. The saved log replays bit-exactly against a fresh store.
     let log = parse_edcrr(&bytes).expect("recorded log parses");
     assert!(!log.torn_tail, "recorder produced a torn log");
-    let mut fresh = log.spec.build();
-    let report = Replayer::replay_against(fresh.as_mut(), &log);
+    let fresh = log.spec.build();
+    let report = Replayer::replay_against(&fresh, &log);
     assert!(
         report.is_exact(),
         "replay diverged ({} of {} ops): {:?}",

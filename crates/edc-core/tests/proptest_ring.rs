@@ -3,8 +3,8 @@
 //! 1. **Ring ≡ blocking.** Under random schedules of single-extent
 //!    writes and reads — with injected read faults and armed mid-drain
 //!    power cuts, at 1 and 8 shards — every completion the ring posts is
-//!    digest-identical to dispatching the same op through the blocking
-//!    `Store` path on a control store — reads, writes and the typed
+//!    digest-identical to the blocking `ShardedPipeline::dispatch` of the
+//!    same op on a control store — reads, writes and the typed
 //!    errors of a cut alike — and after recovery the two stores' entire
 //!    address spaces read back bit-identical.
 //!
@@ -12,13 +12,13 @@
 //!    around the ring logs ops in drain order, coalesced groups
 //!    included; the resulting `.edcrr` log — including a power cut
 //!    firing mid-drain and the subsequent recovery — replays bit-exactly
-//!    through the blocking `Store` path.
+//!    through the blocking path.
 
 use edc_core::clock::Clock;
 use edc_core::record::{Recorder, Replayer, StoreSpec};
 use edc_core::ring::{Ring, RingConfig, RingError, Ticket};
 use edc_core::shard::{ShardConfig, ShardedPipeline};
-use edc_core::store::{Op, OpOutput, Store};
+use edc_core::store::{Op, OpOutput};
 use edc_core::pipeline::PipelineConfig;
 use edc_datagen::proptest::cases;
 use edc_datagen::rng::Rng64;
@@ -83,8 +83,8 @@ fn ring_reads_bit_identical_to_blocking_under_faults_and_cuts() {
         pc.dedup.enabled = rng.chance(0.3);
         let cfg = ShardConfig { shards, extent_blocks, pipeline: pc };
         let capacity = shards as u64 * 4 * 1024 * 1024;
-        let mut ring_store = ShardedPipeline::new(capacity, cfg.clone());
-        let mut ctrl = ShardedPipeline::new(capacity, cfg);
+        let ring_store = ShardedPipeline::new(capacity, cfg.clone());
+        let ctrl = ShardedPipeline::new(capacity, cfg);
         let plan = gen_plan(rng);
         let cut_armed = plan.power_cut_after_programs.is_some();
         ring_store.set_fault_plan(plan);
@@ -147,12 +147,12 @@ fn ring_reads_bit_identical_to_blocking_under_faults_and_cuts() {
         // typed error under the shared fault stream.
         now += 500_000;
         assert_eq!(ring_store.powered(), ctrl.powered(), "power state diverged");
-        let a = Store::dispatch(&mut ring_store, now, &Op::Recover);
+        let a = ring_store.dispatch(now, &Op::Recover);
         let b = ctrl.dispatch(now, &Op::Recover);
         assert_eq!(a.digest(), b.digest(), "recovery reports diverged");
         now += 500_000;
         let sweep = Op::Read { offset: 0, len: SPACE_BLOCKS * BB };
-        let a = Store::dispatch(&mut ring_store, now, &sweep);
+        let a = ring_store.dispatch(now, &sweep);
         let b = ctrl.dispatch(now, &sweep);
         assert_eq!(
             a.digest(),
@@ -187,7 +187,7 @@ fn recorded_ring_replays_bit_exact_including_mid_drain_power_cut() {
             dedup: rng.chance(0.3),
             ..StoreSpec::default()
         };
-        let mut store = ShardedPipeline::new(
+        let store = ShardedPipeline::new(
             spec.capacity_bytes,
             ShardConfig {
                 shards: shards as usize,
@@ -206,7 +206,7 @@ fn recorded_ring_replays_bit_exact_including_mid_drain_power_cut() {
             power_cut_after_programs: Some(rng.range_u64(1, 40)),
             ..FaultPlan::none()
         };
-        rec.apply(&mut store, &mut clock, &Op::SetFaultPlan(plan));
+        rec.apply(&store, &mut clock, &Op::SetFaultPlan(plan));
 
         let n_ops = rng.range_usize(20, 61);
         let schedule: Vec<Op> =
@@ -241,9 +241,9 @@ fn recorded_ring_replays_bit_exact_including_mid_drain_power_cut() {
 
         // Blocking epilogue, recorded through the same log: recover the
         // cut store, sweep the space, snapshot the counters.
-        rec.apply(&mut store, &mut clock, &Op::Recover);
-        rec.apply(&mut store, &mut clock, &Op::Read { offset: 0, len: SPACE_BLOCKS * BB });
-        rec.apply(&mut store, &mut clock, &Op::Stats);
+        rec.apply(&store, &mut clock, &Op::Recover);
+        rec.apply(&store, &mut clock, &Op::Read { offset: 0, len: SPACE_BLOCKS * BB });
+        rec.apply(&store, &mut clock, &Op::Stats);
 
         let report = Replayer::replay(rec.bytes()).expect("log parses");
         assert!(

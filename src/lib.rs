@@ -58,8 +58,9 @@ pub use edc_trace as trace;
 /// The one-line import for typical users: the pipeline, its
 /// configuration, the unified error, codec identifiers, fault plans, the
 /// device configuration, and the op-dispatch / record-replay surface
-/// ([`Op`](edc_core::store::Op), [`Store`](edc_core::store::Store),
-/// [`Recorder`](edc_core::record::Recorder)).
+/// ([`Op`](edc_core::store::Op), dispatched through
+/// [`ShardedPipeline::dispatch`](edc_core::shard::ShardedPipeline::dispatch),
+/// and [`Recorder`](edc_core::record::Recorder)).
 ///
 /// ```
 /// use edc::prelude::*;
@@ -78,7 +79,7 @@ pub mod prelude {
     pub use edc_core::shard::{ShardConfig, ShardedPipeline};
     pub use edc_core::{
         Clock, ManualClock, Op, OpOutput, Recorder, ReplayRefusal, ReplayReport, Replayer,
-        Store, StoreSpec, TieredSeries, WallClock,
+        StoreSpec, TieredSeries, WallClock,
     };
     pub use edc_flash::{FaultPlan, SsdConfig};
 }
