@@ -1,5 +1,5 @@
 //! Decayed per-extent heat tracking for background recompression
-//! (ROADMAP open item 2, DESIGN.md §12).
+//! (DESIGN.md §12).
 //!
 //! The paper's elastic ladder picks a codec once, at write time, from the
 //! *global* IOPS intensity — it never revisits the choice. Waltz

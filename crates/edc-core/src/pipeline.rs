@@ -282,7 +282,9 @@ pub struct RecompressReport {
     /// re-promoted by the background pass.
     pub skipped_demoted: u64,
     /// Cold runs whose recompression would not shrink their slot (after
-    /// quantization and any parity page) — left in place.
+    /// quantization and any parity page) — left in place. Counts both the
+    /// trials that found no gain this pass and the runs whose slot
+    /// remembers that verdict, at this target, from an earlier trial.
     pub skipped_no_gain: u64,
     /// Runs that could not be fetched/decoded this pass (transient read
     /// faults, damage) — left for scrub to deal with.
@@ -1337,7 +1339,10 @@ impl EdcPipeline {
     ///   are re-compressed with `target` (the ladder's strongest codec —
     ///   [`SelectorConfig::strongest_codec`]) using the pooled
     ///   [`CompressorState`], but only when the new quantized slot is
-    ///   strictly smaller than the old one;
+    ///   strictly smaller than the old one. A trial that finds no gain is
+    ///   remembered with the slot, and while the slot lives later passes
+    ///   at the same target count it `skipped_no_gain` without fetching,
+    ///   decoding or encoding it again;
     /// * **hot** runs whose achieved ratio is at or below
     ///   [`HeatConfig::demote_ratio`] are demoted to write-through, so
     ///   their reads skip decompression entirely; the covered extents are
@@ -1440,6 +1445,12 @@ impl EdcPipeline {
                         report.skipped_shared += 1;
                         continue;
                     };
+                    // The slot's payload cannot have changed since an
+                    // earlier trial at this target found no gain.
+                    if self.slots.no_gain(entry.device_offset) == Some(target) {
+                        report.skipped_no_gain += 1;
+                        continue;
+                    }
                     let mut raw = self.read_buf_pool.pop().unwrap_or_default();
                     if self.run_raw_bytes(&entry, &mut raw).is_err() {
                         self.recycle_read_buf(raw);
@@ -1448,16 +1459,18 @@ impl EdcPipeline {
                     }
                     let mut comp = std::mem::take(&mut self.scratch);
                     codec.compress_with(&mut self.codec_state, &raw, &mut comp);
-                    let placement =
-                        self.allocator.place(raw.len() as u64, comp.len() as u64, None);
+                    let (raw_len, comp_len) = (raw.len() as u64, comp.len() as u64);
+                    let placement = self.allocator.quantum_for(raw_len, comp_len);
                     let stored = placement.allocated_bytes
                         + if self.config.parity { BLOCK_BYTES } else { 0 };
                     if !placement.compressed || stored >= entry.stored_bytes {
+                        self.slots.set_no_gain(entry.device_offset, target);
                         report.skipped_no_gain += 1;
                         self.recycle_read_buf(raw);
                         self.scratch = comp;
                         continue;
                     }
+                    self.allocator.place(raw_len, comp_len, None);
                     let res = self.commit_run(
                         target,
                         entry.run_start,
@@ -2490,27 +2503,28 @@ mod tests {
             .collect()
     }
 
-    /// Pipeline tuned for recompression tests: every write compresses
+    /// Configuration for recompression tests: every write compresses
     /// with Lzf regardless of intensity, and heat extents match the
     /// 8-block run stride so each run cools independently.
-    fn heat_pipeline(demote_ratio: f64) -> EdcPipeline {
-        EdcPipeline::new(
-            8 << 20,
-            PipelineConfig {
-                selector: SelectorConfig {
-                    rungs: vec![crate::selector::LadderRung {
-                        max_calc_iops: f64::INFINITY,
-                        codec: CodecId::Lzf,
-                    }],
-                },
-                heat: crate::heat::HeatConfig {
-                    extent_blocks: 8,
-                    demote_ratio,
-                    ..crate::heat::HeatConfig::default()
-                },
-                ..PipelineConfig::default()
+    fn heat_config(demote_ratio: f64) -> PipelineConfig {
+        PipelineConfig {
+            selector: SelectorConfig {
+                rungs: vec![crate::selector::LadderRung {
+                    max_calc_iops: f64::INFINITY,
+                    codec: CodecId::Lzf,
+                }],
             },
-        )
+            heat: crate::heat::HeatConfig {
+                extent_blocks: 8,
+                demote_ratio,
+                ..crate::heat::HeatConfig::default()
+            },
+            ..PipelineConfig::default()
+        }
+    }
+
+    fn heat_pipeline(demote_ratio: f64) -> EdcPipeline {
+        EdcPipeline::new(8 << 20, heat_config(demote_ratio))
     }
 
     /// Write `runs` four-block runs of 4-ary content at an 8-block
@@ -2572,16 +2586,207 @@ mod tests {
         }
     }
 
+    /// Write `runs` `blocks`-block runs of noise (stored write-through, and
+    /// no codec can shrink them) at runs `first..` of the 8-block stride.
+    fn noise_workload(p: &mut EdcPipeline, first: u64, runs: u64, blocks: u64) {
+        for i in first..first + runs {
+            let data: Vec<u8> =
+                (0..blocks).flat_map(|b| random_block(2 * (i * 16 + b) + 1)).collect();
+            p.write(i * 1_000_000, i * 8 * 4096, &data).unwrap();
+        }
+        p.flush_all((first + runs) * 1_000_000).unwrap();
+    }
+
+    /// A recompression pass during which every device fetch fails: a run
+    /// the pass re-tries is counted `skipped_unreadable`, a run whose slot
+    /// remembers a no-gain verdict at `target` still `skipped_no_gain`.
+    fn blind_pass(p: &mut EdcPipeline, now: u64, target: CodecId) -> RecompressReport {
+        p.set_fault_plan(FaultPlan { read_error_rate: 1.0, read_retries: 0, ..FaultPlan::none() });
+        let report = p.recompress_pass(now, target, usize::MAX).unwrap();
+        p.set_fault_plan(FaultPlan::none());
+        report
+    }
+
     #[test]
     fn second_pass_finds_nothing_left_to_do() {
         let mut p = heat_pipeline(1.1);
         heat_workload(&mut p, 6);
+        noise_workload(&mut p, 6, 3, 4);
         let now = 200_000_000_000;
         let first = p.recompress_pass(now, CodecId::Deflate, usize::MAX).unwrap();
         assert!(first.recompressed > 0);
-        let second = p.recompress_pass(now + 1, CodecId::Deflate, usize::MAX).unwrap();
+        assert!(first.skipped_no_gain >= 3, "the noise runs cannot gain: {first:?}");
+        let second = blind_pass(&mut p, now + 1, CodecId::Deflate);
         assert_eq!(second.recompressed, 0, "already at target tier: {second:?}");
         assert_eq!(second.demoted, 0);
+        assert_eq!(second.skipped_unreadable, 0, "a second pass fetched a run: {second:?}");
+        assert_eq!(second.skipped_no_gain, first.skipped_no_gain);
+    }
+
+    #[test]
+    fn a_pass_that_gains_nothing_places_nothing() {
+        let mut p = heat_pipeline(1.1);
+        noise_workload(&mut p, 0, 4, 4);
+        let before = p.alloc_stats();
+        let report = p.recompress_pass(200_000_000_000, CodecId::Lzf, usize::MAX).unwrap();
+        assert_eq!(report.skipped_no_gain, 4, "{report:?}");
+        assert_eq!(p.alloc_stats(), before, "a discarded trial is not a placement");
+    }
+
+    #[test]
+    fn no_gain_verdict_is_dropped_exactly_when_it_must_be() {
+        let mut p = heat_pipeline(1.1);
+        noise_workload(&mut p, 0, 4, 4);
+        let mut now = 200_000_000_000;
+        let first = p.recompress_pass(now, CodecId::Deflate, usize::MAX).unwrap();
+        assert_eq!(first.skipped_no_gain, 4, "{first:?}");
+        // A verdict answers for its own target only.
+        now += 1;
+        let other = blind_pass(&mut p, now, CodecId::Lzf);
+        assert_eq!((other.skipped_unreadable, other.skipped_no_gain), (4, 0), "{other:?}");
+        let same = blind_pass(&mut p, now + 1, CodecId::Deflate);
+        assert_eq!((same.skipped_unreadable, same.skipped_no_gain), (0, 4), "{same:?}");
+        // Run 0 is overwritten in full (a fresh slot), run 1 in part (its
+        // slot and verdict live on, but the run cannot move).
+        let fresh: Vec<u8> = (0..4).flat_map(|b| random_block(2 * (500 + b) + 1)).collect();
+        p.write(now + 2, 0, &fresh).unwrap();
+        p.write(now + 3, 9 * 4096, &random_block(600)).unwrap();
+        p.flush_all(now + 4).unwrap();
+        now += 400_000_000_000;
+        let after = blind_pass(&mut p, now, CodecId::Deflate);
+        // Re-tried: the new run 0 and the one-block run inside run 1.
+        assert_eq!(after.skipped_unreadable, 2, "{after:?}");
+        assert_eq!(after.skipped_shared, 1, "{after:?}");
+        assert_eq!(after.skipped_no_gain, 2, "runs 2 and 3 are remembered: {after:?}");
+        now += 1;
+        let tried = p.recompress_pass(now, CodecId::Deflate, usize::MAX).unwrap();
+        assert_eq!((tried.skipped_no_gain, tried.skipped_shared), (4, 1), "{tried:?}");
+        now += 1;
+        assert_eq!(blind_pass(&mut p, now, CodecId::Deflate).skipped_unreadable, 0);
+        // Recovery rebuilds the slot store: every run is re-tried.
+        p.cut_power();
+        p.recover().unwrap();
+        let recovered = blind_pass(&mut p, now + 1, CodecId::Deflate);
+        assert_eq!(recovered.skipped_no_gain, 0, "{recovered:?}");
+        assert_eq!(recovered.skipped_unreadable, 4, "{recovered:?}");
+        assert_eq!(recovered.skipped_shared, 1, "{recovered:?}");
+    }
+
+    #[test]
+    fn a_reused_slot_does_not_inherit_the_no_gain_verdict() {
+        let mut p = heat_pipeline(1.1);
+        // Three blocks of noise: a 12 KiB write-through slot.
+        noise_workload(&mut p, 0, 1, 3);
+        let noise = p.map.get(0).unwrap();
+        let mut now = 200_000_000_000;
+        let first = p.recompress_pass(now, CodecId::Deflate, usize::MAX).unwrap();
+        assert_eq!(first.skipped_no_gain, 1, "{first:?}");
+        assert_eq!(p.slots.no_gain(noise.device_offset), Some(CodecId::Deflate));
+        // Zeros over all three blocks free the slot; then four blocks of
+        // 4-ary content stored with Lzf take the same 12 KiB class, and
+        // the per-class LIFO hands them that very offset.
+        p.write(now + 1, 0, &[0u8; 3 * 4096]).unwrap();
+        p.flush_all(now + 2).unwrap();
+        let data: Vec<u8> = (0..4).flat_map(|b| lowent_block(700 + b)).collect();
+        p.write(now + 3, 16 * 4096, &data).unwrap();
+        p.flush_all(now + 4).unwrap();
+        let fresh = p.map.get(16).unwrap();
+        assert_eq!(
+            (fresh.device_offset, fresh.tag),
+            (noise.device_offset, CodecId::Lzf),
+            "test premise: the Lzf run reuses the noise run's slot"
+        );
+        now += 400_000_000_000;
+        let report = p.recompress_pass(now, CodecId::Deflate, usize::MAX).unwrap();
+        assert_eq!(report.recompressed, 1, "{report:?}");
+        assert_eq!(p.map.get(16).unwrap().tag, CodecId::Deflate);
+        assert_eq!(p.read(now + 1, 16 * 4096, data.len() as u64).unwrap(), data);
+    }
+
+    /// The oracle for the no-gain verdicts: one seeded schedule of writes,
+    /// partial overwrites, reads, budgeted passes at both targets and
+    /// power cuts, driven into two stores, one of which forgets every
+    /// verdict before each pass. Every observable must agree.
+    #[test]
+    fn no_gain_verdicts_never_change_a_decision() {
+        use edc_datagen::Rng64;
+        /// Apply one op to both stores; their outputs, `Debug`-rendered.
+        fn both<T: std::fmt::Debug>(
+            p: &mut EdcPipeline,
+            twin: &mut EdcPipeline,
+            mut op: impl FnMut(&mut EdcPipeline) -> T,
+        ) -> (String, String) {
+            (format!("{:?}", op(p)), format!("{:?}", op(twin)))
+        }
+        let shared = PipelineConfig {
+            parity: true,
+            dedup: DedupConfig { enabled: true, ..DedupConfig::default() },
+            ..heat_config(1.1)
+        };
+        for (case, config) in [heat_config(1.1), shared].into_iter().enumerate() {
+            let mut rng = Rng64::seed_from_u64(0xED_C027 + case as u64);
+            let mut p = EdcPipeline::new(8 << 20, config.clone());
+            let mut twin = EdcPipeline::new(8 << 20, config);
+            let extents = 12u64;
+            let (mut now, mut no_gain) = (0u64, 0u64);
+            for step in 0..160 {
+                now += 1_000_000;
+                // Few seeds per family, so dedup finds duplicates.
+                let (seed, family) = (rng.below(6), rng.below(4));
+                let content = |blocks: u64| -> Vec<u8> {
+                    (0..blocks)
+                        .flat_map(|b| match family {
+                            0 => random_block(seed * 16 + b + 1),
+                            1 => lowent_block(seed * 16 + b),
+                            2 => text_block((seed * 16 + b) as u8),
+                            _ => vec![0u8; 4096],
+                        })
+                        .collect()
+                };
+                let (a, b) = match rng.below(10) {
+                    0..=3 => {
+                        let data = content(rng.range_u64(1, 9));
+                        let at = rng.below(extents) * 8 * 4096;
+                        both(&mut p, &mut twin, |s| s.write(now, at, &data))
+                    }
+                    4 | 5 => {
+                        let data = content(1);
+                        let at = rng.below(extents * 8) * 4096;
+                        both(&mut p, &mut twin, |s| s.write(now, at, &data))
+                    }
+                    6 => {
+                        let at = rng.below(extents * 8) * 4096;
+                        let len = rng.range_u64(1, 17) * 4096;
+                        both(&mut p, &mut twin, |s| s.read(now, at, len))
+                    }
+                    7 | 8 => {
+                        now += rng.below(4_000_000_000);
+                        let target = if rng.chance(0.5) { CodecId::Lzf } else { CodecId::Deflate };
+                        let budget = [1, 2, 4, usize::MAX][rng.below_usize(4)];
+                        twin.slots.forget_no_gain();
+                        let report = p.recompress_pass(now, target, budget);
+                        no_gain += report.as_ref().map_or(0, |r| r.skipped_no_gain);
+                        let twin_report = twin.recompress_pass(now, target, budget);
+                        (format!("{report:?}"), format!("{twin_report:?}"))
+                    }
+                    _ => {
+                        p.cut_power();
+                        twin.cut_power();
+                        both(&mut p, &mut twin, EdcPipeline::recover)
+                    }
+                };
+                assert_eq!(a, b, "case {case} step {step}");
+            }
+            p.flush_all(now).unwrap();
+            twin.flush_all(now).unwrap();
+            assert_eq!(p.stats(), twin.stats(), "case {case}");
+            assert_eq!(p.live_stored_bytes(), twin.live_stored_bytes(), "case {case}");
+            assert_eq!(p.alloc_stats(), twin.alloc_stats(), "case {case}");
+            let len = extents * 8 * 4096;
+            assert!(p.read(now + 1, 0, len).unwrap() == twin.read(now + 1, 0, len).unwrap());
+            assert!(p.stats().recompressed_runs > 0, "case {case}: the schedule never rewrote");
+            assert!(no_gain > 0, "case {case}: the schedule never met a no-gain run");
+        }
     }
 
     #[test]

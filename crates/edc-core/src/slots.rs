@@ -7,9 +7,30 @@
 //! unnecessary fragmentations can be avoided"). The store hands out device
 //! byte addresses: fresh space comes from a bump cursor, freed slots are
 //! recycled per size class (LIFO, so recently-freed — and recently-erased —
-//! space is reused first).
+//! space is reused first). Each live slot's record also keeps the
+//! background recompression pass's no-gain verdict for it, so a pass does
+//! not re-try a payload it already failed to shrink (DESIGN.md §12).
 
+use edc_compress::CodecId;
 use std::collections::HashMap;
+
+/// A live slot's record. A slot shared by a merged run's blocks returns to
+/// the free pool only when its last block is superseded — releasing
+/// earlier would let two live runs alias the same device bytes.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Blocks still referencing the slot.
+    refs: u32,
+    /// Slot bytes.
+    bytes: u64,
+    /// The target codec a background recompression pass found this slot's
+    /// payload cannot shrink to. Everything that verdict depends on — the
+    /// payload, the run length, the slot size — is fixed while the slot
+    /// lives, so it lives and dies with this record: a fresh record
+    /// (`alloc_run`, `adopt_run`) starts without one. It fits in the
+    /// padding of the two fields above.
+    no_gain: Option<CodecId>,
+}
 
 /// Segregated-fit slot allocator over a device's logical byte space.
 #[derive(Debug, Clone)]
@@ -19,11 +40,8 @@ pub struct SlotStore {
     cursor: u64,
     /// Free slots per size class (bytes → stack of offsets).
     free: HashMap<u64, Vec<u64>>,
-    /// Live slots: device offset → (blocks still referencing it, slot bytes).
-    /// A slot shared by a merged run's blocks returns to the free pool only
-    /// when its last block is superseded — releasing earlier would let two
-    /// live runs alias the same device bytes.
-    refs: HashMap<u64, (u32, u64)>,
+    /// Live slots by device offset.
+    refs: HashMap<u64, Slot>,
     /// Live allocated bytes.
     live_bytes: u64,
     /// Times the cursor wrapped (fragmentation overflow; should be rare).
@@ -50,7 +68,7 @@ impl SlotStore {
     pub fn alloc_run(&mut self, bytes: u64, blocks: u32) -> u64 {
         assert!(blocks > 0);
         let off = self.alloc(bytes);
-        self.refs.insert(off, (blocks, bytes));
+        self.refs.insert(off, Slot { refs: blocks, bytes, no_gain: None });
         off
     }
 
@@ -66,7 +84,7 @@ impl SlotStore {
         if let Some(stack) = self.free.get_mut(&bytes) {
             stack.retain(|&o| o != offset);
         }
-        self.refs.insert(offset, (blocks, bytes));
+        self.refs.insert(offset, Slot { refs: blocks, bytes, no_gain: None });
         self.live_bytes += bytes;
         self.cursor = self.cursor.max(offset + bytes);
     }
@@ -83,21 +101,21 @@ impl SlotStore {
     pub fn add_run_refs(&mut self, offset: u64, blocks: u32) {
         assert!(blocks > 0);
         let e = self.refs.get_mut(&offset).expect("add_run_refs on a dead slot");
-        e.0 += blocks;
+        e.refs += blocks;
     }
 
     /// Outstanding block references to the slot at `offset` (0 when the
     /// slot is not live) — the dedup integrity audit's cross-check hook.
     pub fn block_refs(&self, offset: u64) -> u32 {
-        self.refs.get(&offset).map_or(0, |e| e.0)
+        self.refs.get(&offset).map_or(0, |e| e.refs)
     }
 
     /// Drop one block's reference to the slot at `offset` (the block's
     /// mapping entry was superseded). Returns `Some((offset, bytes))` when
     /// this was the last reference and the slot returned to the free pool.
     pub fn release_block_ref(&mut self, offset: u64) -> Option<(u64, u64)> {
-        let (remaining, bytes) = self.refs.get_mut(&offset).map(|e| {
-            e.0 = e.0.saturating_sub(1);
+        let Slot { refs: remaining, bytes, .. } = self.refs.get_mut(&offset).map(|e| {
+            e.refs = e.refs.saturating_sub(1);
             *e
         })?;
         if remaining == 0 {
@@ -106,6 +124,25 @@ impl SlotStore {
             return Some((offset, bytes));
         }
         None
+    }
+
+    /// The target codec a background pass found the live slot at `offset`
+    /// cannot shrink to, if one was recorded. Once the cursor has wrapped,
+    /// fresh space may overlap a live slot and change its bytes, so no
+    /// verdict is trusted any more.
+    pub(crate) fn no_gain(&self, offset: u64) -> Option<CodecId> {
+        if self.wraps > 0 {
+            return None;
+        }
+        self.refs.get(&offset).and_then(|e| e.no_gain)
+    }
+
+    /// Record that re-compressing the live slot at `offset` with `target`
+    /// would not shrink it (a no-op on a dead slot).
+    pub(crate) fn set_no_gain(&mut self, offset: u64, target: CodecId) {
+        if let Some(e) = self.refs.get_mut(&offset) {
+            e.no_gain = Some(target);
+        }
     }
 
     /// Allocate a slot of exactly `bytes`; returns its device offset.
@@ -144,6 +181,16 @@ impl SlotStore {
     /// Number of cursor wraps (fragmentation overflows).
     pub fn wraps(&self) -> u64 {
         self.wraps
+    }
+}
+
+#[cfg(test)]
+impl SlotStore {
+    /// Forget every recorded no-gain verdict.
+    pub(crate) fn forget_no_gain(&mut self) {
+        for e in self.refs.values_mut() {
+            e.no_gain = None;
+        }
     }
 }
 
@@ -291,5 +338,42 @@ mod tests {
         s.adopt_run(0, 2048, 1); // B reuses the same offset
         let next = s.alloc(2048);
         assert_ne!(next, 0, "live adopted slot must not be reallocated");
+    }
+
+    #[test]
+    fn no_gain_verdict_lives_and_dies_with_the_slot_record() {
+        assert_eq!(std::mem::size_of::<Slot>(), std::mem::size_of::<(u32, u64)>());
+        let mut s = SlotStore::new(1 << 20);
+        let off = s.alloc_run(8192, 2);
+        s.set_no_gain(off, CodecId::Deflate);
+        assert_eq!(s.no_gain(off), Some(CodecId::Deflate));
+        // A partial release keeps the record, and with it the verdict.
+        assert_eq!(s.release_block_ref(off), None);
+        assert_eq!(s.no_gain(off), Some(CodecId::Deflate));
+        // The last release drops it; the LIFO reuse at the same offset is
+        // a fresh record without one.
+        assert!(s.release_block_ref(off).is_some());
+        assert_eq!(s.no_gain(off), None);
+        assert_eq!(s.alloc_run(8192, 1), off);
+        assert_eq!(s.no_gain(off), None);
+        // Re-creating a live record (recovery's adopt) drops it too.
+        s.set_no_gain(off, CodecId::Lzf);
+        s.adopt_run(off, 8192, 1);
+        assert_eq!(s.no_gain(off), None);
+        // A dead slot takes no verdict.
+        s.set_no_gain(1 << 19, CodecId::Lzf);
+        assert_eq!(s.no_gain(1 << 19), None);
+    }
+
+    #[test]
+    fn no_gain_verdicts_are_not_trusted_after_a_cursor_wrap() {
+        let mut s = SlotStore::new(4096);
+        let off = s.alloc_run(2048, 1);
+        s.set_no_gain(off, CodecId::Deflate);
+        s.alloc(2048);
+        // The wrap hands out the live slot's bytes again, so its verdict
+        // no longer describes what the slot holds.
+        assert_eq!(s.alloc(1024), 0);
+        assert_eq!(s.no_gain(off), None);
     }
 }
