@@ -1,12 +1,9 @@
 //! `bench-dedup`: the content-defined dedup front-end against a
-//! dedup-off control arm — flash bytes, paired write throughput, and a
-//! power-cut sweep across dedup-hit writes and a shared-run relocation.
+//! dedup-off control arm — flash bytes and paired write throughput. A
+//! power cut anywhere in dedup-hit writes and a shared-run relocation is
+//! this module's test.
 
-use crate::content::acgt_run;
-use crate::heat::heat_pipeline_config;
-use crate::sweep::{cut_sweep, CutScenario, SweepReport};
 use crate::{CmdResult, Harness};
-use edc_compress::CodecId;
 use edc_core::pipeline::{EdcPipeline, PipelineConfig, PipelineStats};
 use std::path::Path;
 use std::time::Instant;
@@ -19,96 +16,14 @@ fn dedup_bench_config(dedup_on: bool) -> PipelineConfig {
     cfg
 }
 
-/// Power-cut sweep across the dedup write path and a shared-run
-/// relocation: unique writes, then dedup-hit writes sharing the first
-/// run, then a cooled recompression pass that relocates the shared run —
-/// cut at every page program of the whole sequence, recover, and check
-/// nothing committed is lost. Within a drain runs commit in write order,
-/// so a zero-filled block *below* the highest committed block is a loss,
-/// not an uncommitted write.
-fn dedup_power_cut_sweep(smoke: bool) -> SweepReport {
-    let uniques: u64 = if smoke { 2 } else { 4 };
-    let dups: u64 = if smoke { 2 } else { 3 };
-    let slots = uniques + dups;
-    let run_blocks: u64 = 4;
-    let step = 2_000_000u64;
-    // Each slot is a 4-block (16 KiB) run — big enough that a cooled
-    // Deflate rewrite reclaims whole pages — placed 8 blocks apart so the
-    // sequentiality detector never merges neighbouring slots. Duplicate
-    // slots repeat unique 0's payload from block 64 up; the seeded
-    // chunker cuts identical payloads identically, so every duplicate
-    // chunk shares unique 0's stored run(s). ACGT noise, as in the heat
-    // bench: Lzf keeps it ~raw, Deflate quarters it — so the cooled pass
-    // has whole pages to reclaim per run.
-    let expect = |s: u64| -> Vec<u8> {
-        let src = if s < uniques { s } else { 0 };
-        acgt_run(src.wrapping_mul(0x9E37_79B9).wrapping_add(7), (run_blocks * 4096) as usize)
-    };
-    let offset = |s: u64| if s < uniques { s * 8 * 4096 } else { (64 + (s - uniques) * 8) * 4096 };
-    // Everything cools far past the threshold before the pass runs.
-    let cold_at = slots * step + 400 * 1_000_000_000;
-    let scenario = CutScenario {
-        // Pin the write-path ladder to Lzf (as the heat bench does) so the
-        // cooled Deflate pass has a tier to move the shared run up to.
-        make: &|| {
-            let mut cfg = heat_pipeline_config();
-            cfg.dedup.enabled = true;
-            EdcPipeline::new(8 << 20, cfg)
-        },
-        prepare: &|_| {},
-        drive: &|p| {
-            for s in 0..slots {
-                p.write((s + 1) * step, offset(s), &expect(s))?;
-            }
-            p.flush_all((slots + 1) * step)?;
-            let pass = p.recompress_pass(cold_at, CodecId::Deflate, usize::MAX)?;
-            // Only an uninterrupted run gets this far: it must actually
-            // exercise the relocation of a *shared* run.
-            assert!(pass.recompressed > 0, "sweep must exercise a relocation: {pass:?}");
-            let ledger = p.verify_dedup()?;
-            assert!(ledger.shared_runs >= 1, "sweep must relocate a *shared* run: {ledger:?}");
-            Ok(())
-        },
-        count_lost: &|p| {
-            p.verify_dedup().expect("refcount ledger cross-check after recovery");
-            // Per 4 KiB block: 0 = reads back committed content, 1 = still
-            // zero-filled (its chunk's commit never happened), 2 = torn or
-            // unreadable. Chunks commit in write order, so committed blocks
-            // form a prefix of the written sequence.
-            let mut states = Vec::with_capacity((slots * run_blocks) as usize);
-            for s in 0..slots {
-                let want = expect(s);
-                for k in 0..run_blocks {
-                    let lo = (k * 4096) as usize;
-                    states.push(match p.read(cold_at + step, offset(s) + k * 4096, 4096) {
-                        Ok(got) if got[..] == want[lo..lo + 4096] => 0u8,
-                        Ok(got) if got.iter().all(|&b| b == 0) => 1,
-                        _ => 2,
-                    });
-                }
-            }
-            let last_committed = states.iter().rposition(|&st| st == 0);
-            let lost = states
-                .iter()
-                .enumerate()
-                .filter(|&(s, &st)| st != 0 && !(st == 1 && Some(s) > last_committed))
-                .count() as u64;
-            (states.len() as u64 - lost, lost)
-        },
-    };
-    cut_sweep("dedup writes + relocation", &scenario).0
-}
-
 /// Content-defined dedup front-end benchmark: two seeded block streams
 /// (a 40 %-duplicate Zipfian-reuse mix and a duplicate-free control mix)
 /// each driven through a dedup-on and a dedup-off pipeline. Gated on the
 /// duplicate mix programming strictly fewer flash bytes *and* writing at
 /// least as fast with dedup on, the duplicate-free mix staying within 5 %
 /// of the dedup-off control (the hashing-overhead budget), bit-exact
-/// read-back on every arm, a clean two-way refcount-ledger cross-check,
-/// and a power-cut sweep across the dedup write path and a shared-run
-/// relocation proving zero committed-data loss. Writes
-/// `BENCH_dedup.json`; fails on any gate violation.
+/// read-back on every arm, and a clean two-way refcount-ledger
+/// cross-check. Writes `BENCH_dedup.json`; fails on any gate violation.
 pub fn run(smoke: bool, out_dir: &Path) -> CmdResult {
     use edc_datagen::{BlockClass, DataMix, DupStream};
     let stream_blocks: usize = if smoke { 1_200 } else { 10_000 };
@@ -309,28 +224,106 @@ pub fn run(smoke: bool, out_dir: &Path) -> CmdResult {
         failures += 1;
     }
 
-    // Gate 4: a power cut anywhere through the dedup-hit write path or
-    // the shared-run relocation loses nothing committed.
-    let sweep = dedup_power_cut_sweep(smoke);
-    h.metric("power_cut_points", sweep.cut_points as f64);
-    h.metric("power_cut_lost_blocks", sweep.lost as f64);
-    h.metric("power_cut_payload_mismatches", sweep.payload_mismatches as f64);
-    eprintln!(
-        "# power-cut sweep: {} cut points across dedup writes + relocation, {} lost block(s), \
-         {} payload mismatch(es)",
-        sweep.cut_points, sweep.lost, sweep.payload_mismatches
-    );
-    if sweep.violations() > 0 {
-        eprintln!("# FAIL: power-cut sweep across the dedup write path lost data");
-        failures += sweep.violations();
-    }
-
     h.finish(out_dir, failures)?;
     eprintln!(
         "# dedup bench passed: {:.1}% flash bytes saved on the dup mix at {ratio0:.3}x dup-free \
-         overhead, zero committed-data loss across {} power cuts",
-        100.0 * (1.0 - on40.physical_written as f64 / off40.physical_written.max(1) as f64),
-        sweep.cut_points
+         overhead",
+        100.0 * (1.0 - on40.physical_written as f64 / off40.physical_written.max(1) as f64)
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::content::acgt_run;
+    use crate::heat::heat_pipeline_config;
+    use crate::sweep::{cut_sweep, CutScenario};
+    use edc_compress::CodecId;
+    use edc_core::pipeline::EdcPipeline;
+
+    /// Power-cut sweep across the dedup write path and a shared-run
+    /// relocation: unique writes, then dedup-hit writes sharing the first
+    /// run, then a cooled recompression pass that relocates the shared run —
+    /// cut at every page program of the whole sequence, recover, and check
+    /// nothing committed is lost. Within a drain runs commit in write order,
+    /// so a zero-filled block *below* the highest committed block is a loss,
+    /// not an uncommitted write.
+    fn dedup_power_cut_sweep(uniques: u64, dups: u64) {
+        let slots = uniques + dups;
+        let run_blocks: u64 = 4;
+        let step = 2_000_000u64;
+        // Each slot is a 4-block (16 KiB) run — big enough that a cooled
+        // Deflate rewrite reclaims whole pages — placed 8 blocks apart so the
+        // sequentiality detector never merges neighbouring slots. Duplicate
+        // slots repeat unique 0's payload from block 64 up; the seeded
+        // chunker cuts identical payloads identically, so every duplicate
+        // chunk shares unique 0's stored run(s). ACGT noise, as in the heat
+        // bench: Lzf keeps it ~raw, Deflate quarters it — so the cooled pass
+        // has whole pages to reclaim per run.
+        let expect = |s: u64| -> Vec<u8> {
+            let src = if s < uniques { s } else { 0 };
+            acgt_run(src.wrapping_mul(0x9E37_79B9).wrapping_add(7), (run_blocks * 4096) as usize)
+        };
+        let offset =
+            |s: u64| if s < uniques { s * 8 * 4096 } else { (64 + (s - uniques) * 8) * 4096 };
+        // Everything cools far past the threshold before the pass runs.
+        let cold_at = slots * step + 400 * 1_000_000_000;
+        let scenario = CutScenario {
+            // Pin the write-path ladder to Lzf (as the heat bench does) so the
+            // cooled Deflate pass has a tier to move the shared run up to.
+            make: &|| {
+                let mut cfg = heat_pipeline_config();
+                cfg.dedup.enabled = true;
+                EdcPipeline::new(8 << 20, cfg)
+            },
+            prepare: &|_| {},
+            drive: &|p| {
+                for s in 0..slots {
+                    p.write((s + 1) * step, offset(s), &expect(s))?;
+                }
+                p.flush_all((slots + 1) * step)?;
+                let pass = p.recompress_pass(cold_at, CodecId::Deflate, usize::MAX)?;
+                // Only an uninterrupted run gets this far: it must actually
+                // exercise the relocation of a *shared* run.
+                assert!(pass.recompressed > 0, "sweep must exercise a relocation: {pass:?}");
+                let ledger = p.verify_dedup()?;
+                assert!(ledger.shared_runs >= 1, "sweep must relocate a *shared* run: {ledger:?}");
+                Ok(())
+            },
+            count_lost: &|p| {
+                p.verify_dedup().expect("refcount ledger cross-check after recovery");
+                // Per 4 KiB block: 0 = reads back committed content, 1 = still
+                // zero-filled (its chunk's commit never happened), 2 = torn or
+                // unreadable. Chunks commit in write order, so committed blocks
+                // form a prefix of the written sequence.
+                let mut states = Vec::with_capacity((slots * run_blocks) as usize);
+                for s in 0..slots {
+                    let want = expect(s);
+                    for k in 0..run_blocks {
+                        let lo = (k * 4096) as usize;
+                        states.push(match p.read(cold_at + step, offset(s) + k * 4096, 4096) {
+                            Ok(got) if got[..] == want[lo..lo + 4096] => 0u8,
+                            Ok(got) if got.iter().all(|&b| b == 0) => 1,
+                            _ => 2,
+                        });
+                    }
+                }
+                let last_committed = states.iter().rposition(|&st| st == 0);
+                let lost = states
+                    .iter()
+                    .enumerate()
+                    .filter(|&(s, &st)| st != 0 && !(st == 1 && Some(s) > last_committed))
+                    .count() as u64;
+                (states.len() as u64 - lost, lost)
+            },
+        };
+        let what = format!("dedup writes + relocation, {uniques} unique + {dups} duplicate runs");
+        cut_sweep(&what, &scenario).0.assert_zero_loss(&what);
+    }
+
+    #[test]
+    fn power_cut_anywhere_in_dedup_writes_and_relocation_loses_nothing() {
+        dedup_power_cut_sweep(2, 2);
+        dedup_power_cut_sweep(4, 3);
+    }
 }

@@ -1,16 +1,15 @@
-//! `fault-campaign`: a power cut at every page program of a write
-//! workload, a replay-gated recording of the midpoint cut, and a
-//! device-level fault-rate matrix. Also home of the campaign [`Workload`]
-//! the scrub campaign reuses.
+//! The fault campaign, as seeded tests: a power cut at every page program
+//! of a write workload, a replay-gated recording of the midpoint cut, and
+//! a device-level fault-rate matrix. Also home of the campaign
+//! [`Workload`] the scrub campaign reuses.
 
 use crate::content::{noise_block, text_block};
 use crate::sweep::{cut_sweep, CutScenario};
-use crate::{CmdResult, Harness};
 use edc_core::error::EdcError;
 use edc_core::pipeline::{EdcPipeline, PipelineConfig};
 use edc_core::{ManualClock, Op, Recorder, Replayer, StoreSpec};
 use edc_flash::{FaultError, FaultPlan, IoKind, SsdConfig, SsdDevice};
-use std::path::Path;
+use std::path::PathBuf;
 
 /// The campaigns' pipeline workload: two-block runs (every fourth led by
 /// an incompressible block) three blocks apart so none merge, flushed,
@@ -24,6 +23,10 @@ pub struct Workload {
 }
 
 impl Workload {
+    /// The workload sizes the campaigns run: a small one, then the full
+    /// one.
+    pub const RUNS: [u64; 2] = [10, 48];
+
     /// The workload over `runs` runs.
     pub fn new(runs: u64) -> Self {
         let writes = (0..runs)
@@ -113,179 +116,113 @@ impl Workload {
     }
 }
 
-/// Save a crash artifact under `<out_dir>/crashers/`, logging where it
-/// went (best-effort: artifact I/O must never mask the original failure).
-fn save_crash_artifact(rec: &Recorder, out_dir: &Path, name: &str) {
-    let dir = out_dir.join("crashers");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("# warn: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(name);
-    match rec.save(&path) {
+/// Where a failing test saves its crash artifacts: `target/tmp/crashers`.
+/// Cargo hands `target/tmp` to integration tests as
+/// `CARGO_TARGET_TMPDIR` but not to unit tests, so it is found from the
+/// test binary's own path (`target/<profile>/deps/<binary>`).
+pub fn crash_dir() -> PathBuf {
+    let exe = std::env::current_exe().expect("test binary path");
+    let target = exe.ancestors().nth(3).expect("test binary sits in target/<profile>/deps");
+    target.join("tmp").join("crashers")
+}
+
+/// Save `rec` as `<crash_dir>/<name>`, logging where it went
+/// (best-effort: artifact I/O must never mask the original failure).
+fn save_crash_artifact(rec: &Recorder, name: &str) {
+    let path = crash_dir().join(name);
+    match std::fs::create_dir_all(crash_dir()).and_then(|()| rec.save(&path)) {
         Ok(()) => eprintln!(
             "# crash artifact: {} ({} ops; `edc-bench replay {}`)",
             path.display(),
             rec.ops(),
             path.display()
         ),
-        Err(e) => eprintln!("# warn: cannot save {}: {e}", path.display()),
+        Err(e) => eprintln!("# cannot save {}: {e}", path.display()),
     }
 }
 
-/// Fault-injection campaign: sweep a simulated power cut across every
-/// page-program index of a pipeline workload (recovering and verifying
-/// after each), then drive the raw SSD simulator through a fault-rate
-/// matrix. Writes `BENCH_faults.json`; fails if any journaled run loses
-/// data, or if any fault fires at zero fault rate.
-pub fn run(smoke: bool, out_dir: &Path) -> CmdResult {
-    let runs: u64 = if smoke { 10 } else { 48 };
-    let samples = if smoke { 3 } else { 5 };
-    let mk = || EdcPipeline::new(8 << 20, PipelineConfig::default());
-    let workload = Workload::new(runs);
-    let mut h = Harness::new("faults", samples);
-    let mut failures = 0u64;
-
-    // Power-cut sweep: cut at EVERY page-program index, recover, verify.
-    let (sweep, mut clean) = cut_sweep(
-        "fault campaign",
-        &CutScenario {
-            make: &mk,
-            prepare: &|_| {},
-            drive: &|p| workload.drive(p),
-            count_lost: &|p| workload.count_lost(p),
-        },
-    );
-
-    // Baseline: zero fault rate must mean zero faults and zero loss.
-    let committed_runs = clean.stats().journal_records;
-    let (clean_verified, clean_lost) = workload.count_lost(&mut clean);
-    let stats = clean.fault_stats();
-    let clean_faults = stats.read_faults
-        + stats.program_faults
-        + stats.erase_faults
-        + stats.rot_pages
-        + stats.power_cuts;
-    if clean_lost > 0 || clean_faults > 0 {
-        eprintln!("# FAIL: zero fault rate produced loss={clean_lost} faults={clean_faults}");
-        failures += 1;
-    }
-    eprintln!(
-        "# clean run: {committed_runs} journaled runs, {} page programs, \
-         {clean_verified} blocks verified",
-        sweep.programs
-    );
-
-    // Every cut that misbehaved becomes a replayable `.edcrr` artifact:
-    // the same schedule re-driven through a Recorder, so the failure is
-    // pinned as a log that `edc-bench replay` re-executes bit-exactly.
-    for &cut in &sweep.bad_cuts {
-        save_crash_artifact(&workload.record_cut(cut), out_dir, &format!("fault_cut_{cut}.edcrr"));
-    }
-    failures += sweep.violations();
-    if sweep.lost > 0 || sweep.payload_mismatches > 0 {
-        eprintln!(
-            "# FAIL: power-cut sweep lost {} blocks, {} payload mismatches",
-            sweep.lost, sweep.payload_mismatches
+/// Sweep a simulated power cut across every page-program index of the
+/// workload at each size, recovering and verifying after each. Every cut
+/// that misbehaves is saved as a replayable `.edcrr` artifact before the
+/// test fails: the same schedule re-driven through a [`Recorder`].
+#[test]
+fn power_cut_at_every_program_loses_no_committed_block() {
+    for runs in Workload::RUNS {
+        let workload = Workload::new(runs);
+        let mk = || EdcPipeline::new(8 << 20, PipelineConfig::default());
+        let (sweep, mut clean) = cut_sweep(
+            &format!("fault campaign, {runs} runs"),
+            &CutScenario {
+                make: &mk,
+                prepare: &|_| {},
+                drive: &|p| workload.drive(p),
+                count_lost: &|p| workload.count_lost(p),
+            },
         );
+
+        // Zero fault rate must mean zero faults and zero loss.
+        let (clean_verified, clean_lost) = workload.count_lost(&mut clean);
+        let f = clean.fault_stats();
+        let clean_faults =
+            f.read_faults + f.program_faults + f.erase_faults + f.rot_pages + f.power_cuts;
+        assert_eq!(
+            (clean_lost, clean_faults),
+            (0, 0),
+            "{runs} runs: zero fault rate produced loss and faults"
+        );
+        assert_eq!(clean_verified, 2 * runs, "{runs} runs: every clean block verifies");
+
+        for &cut in &sweep.bad_cuts {
+            save_crash_artifact(
+                &workload.record_cut(cut),
+                &format!("fault_{runs}runs_cut_{cut}.edcrr"),
+            );
+        }
+        sweep.assert_zero_loss(&format!("fault campaign, {runs} runs"));
     }
-    eprintln!(
-        "# power-cut sweep: {} cut points, {} runs replayed, {} blocks verified, {} lost",
-        sweep.cut_points, sweep.replayed_runs, sweep.verified, sweep.lost
-    );
+}
 
-    // Timed recovery at the midpoint cut (the representative case).
-    let mid = sweep.programs / 2;
-    h.run_prepared(
-        "recover_after_midpoint_cut",
-        None,
-        || {
-            let mut p = mk();
-            p.set_fault_plan(FaultPlan {
-                power_cut_after_programs: Some(mid),
-                ..FaultPlan::none()
-            });
-            let _ = workload.drive(&mut p);
-            p
-        },
-        |mut p| {
-            let report = p.recover().expect("recovery");
-            (report.replayed_runs, p)
-        },
-    );
-
-    // Record/replay gate, on by default: the midpoint-cut schedule is
-    // re-driven through a Recorder and the log replayed against a fresh
-    // store, so the capture path is exercised on every campaign run —
-    // not only on the runs where something already went wrong.
-    let rec = workload.record_cut(mid);
-    h.metric("recorded_ops_midpoint_cut", rec.ops() as f64);
-    h.metric("recorded_log_bytes_midpoint_cut", rec.bytes().len() as f64);
-    match Replayer::replay(rec.bytes()) {
-        Ok(report) if report.is_exact() => eprintln!(
-            "# record/replay: midpoint-cut log ({} ops, {} bytes) replays bit-exactly",
-            report.ops,
-            rec.bytes().len()
-        ),
-        Ok(report) => {
-            for d in &report.divergences {
-                eprintln!("# FAIL: record/replay: {d}");
-            }
-            eprintln!("# FAIL: midpoint-cut record/replay diverged");
-            failures += 1;
+/// Record/replay gate, on every run: the midpoint-cut schedule is
+/// re-driven through a [`Recorder`] and the log replayed against a fresh
+/// store, so the capture path is exercised — not only on the runs where
+/// something already went wrong.
+#[test]
+fn midpoint_cut_recording_replays_bit_exactly() {
+    for runs in Workload::RUNS {
+        let workload = Workload::new(runs);
+        let mut clean = EdcPipeline::new(8 << 20, PipelineConfig::default());
+        workload.drive(&mut clean).expect("the clean run cannot fault");
+        let mid = clean.stats().programs / 2;
+        let rec = workload.record_cut(mid);
+        let report = Replayer::replay(rec.bytes())
+            .unwrap_or_else(|e| panic!("{runs} runs, cut {mid}: the log does not parse: {e}"));
+        if !report.is_exact() {
+            save_crash_artifact(&rec, &format!("fault_{runs}runs_midpoint_cut_{mid}.edcrr"));
         }
-        Err(e) => {
-            eprintln!("# FAIL: midpoint-cut log does not parse: {e}");
-            failures += 1;
-        }
+        assert!(
+            report.is_exact(),
+            "{runs} runs, cut {mid}: replay diverged: {:?}",
+            report.divergences
+        );
+        assert_eq!(report.ops, rec.ops(), "{runs} runs, cut {mid}: every recorded op replays");
     }
-
-    failures += device_matrix(smoke, &mut h);
-
-    let pct = |part: u64, whole: u64, empty: f64| {
-        if whole == 0 {
-            empty
-        } else {
-            100.0 * part as f64 / whole as f64
-        }
-    };
-    h.metric("cut_points", sweep.cut_points as f64);
-    h.metric("committed_runs_clean", committed_runs as f64);
-    h.metric("page_programs_clean", sweep.programs as f64);
-    h.metric("recovered_runs_total", sweep.replayed_runs as f64);
-    h.metric(
-        "recovered_cuts_pct",
-        pct(sweep.programs - sweep.recover_failures, sweep.programs, 100.0),
-    );
-    h.metric("data_loss_blocks", sweep.lost as f64);
-    h.metric("data_loss_pct", pct(sweep.lost, sweep.verified + sweep.lost, 0.0));
-    h.metric("payload_mismatches", sweep.payload_mismatches as f64);
-    h.metric(
-        "recovery_ns_mean",
-        (sweep.recovery_ns_sum / u128::from(sweep.cut_points.max(1))) as f64,
-    );
-    h.metric("recovery_ns_max", sweep.recovery_ns_max as f64);
-
-    h.finish(out_dir, failures)?;
-    eprintln!(
-        "# fault campaign passed: zero data loss across {} power-cut points",
-        sweep.cut_points
-    );
-    Ok(())
 }
 
 /// Device-level matrix: transient/program/erase fault rates against the
-/// raw SSD simulator, with a power cycle and an FTL integrity audit at
-/// the end of every cell. Returns the violations it counted.
-fn device_matrix(smoke: bool, h: &mut Harness) -> u64 {
-    let mut failures = 0u64;
-    let rates: &[f64] = if smoke { &[0.0, 0.01] } else { &[0.0, 0.001, 0.01, 0.05] };
-    let ops: u64 = if smoke { 2_000 } else { 20_000 };
-    for &rate in rates {
+/// raw SSD simulator, with an FTL integrity audit after the run and again
+/// after a power cycle. Zero rate must mean zero faults.
+#[test]
+fn device_fault_matrix_keeps_the_ftl_consistent() {
+    // Two short cells, then the full matrix.
+    let cells: [(u64, &[f64]); 2] = [(2_000, &[0.0, 0.01]), (20_000, &[0.0, 0.001, 0.01, 0.05])];
+    for (ops, rate) in
+        cells.into_iter().flat_map(|(ops, rates)| rates.iter().map(move |&r| (ops, r)))
+    {
+        let seed = 0xEDC + (rate * 1e6) as u64;
         let mut dev = SsdDevice::new(SsdConfig { logical_bytes: 64 << 20, ..SsdConfig::default() });
         dev.precondition(0.5);
         dev.set_fault_plan(FaultPlan {
-            seed: 0xEDC + (rate * 1e6) as u64,
+            seed,
             read_error_rate: rate,
             program_error_rate: rate,
             erase_error_rate: rate / 2.0,
@@ -309,36 +246,21 @@ fn device_matrix(smoke: bool, h: &mut Harness) -> u64 {
             }
         }
         if let Err(e) = dev.verify_integrity() {
-            eprintln!("# FAIL: FTL integrity after rate {rate}: {e}");
-            failures += 1;
+            panic!("rate {rate}, {ops} ops, seed {seed:#x}: FTL integrity: {e}");
         }
         // Power cycle and re-audit: volatile-state reset must not break
         // the FTL's mapping invariants either.
         dev.power_cycle();
         if let Err(e) = dev.verify_integrity() {
-            eprintln!("# FAIL: FTL integrity after power cycle at rate {rate}: {e}");
-            failures += 1;
+            panic!("rate {rate}, {ops} ops, seed {seed:#x}: FTL integrity after power cycle: {e}");
         }
         let fs = dev.fault_stats();
-        if rate == 0.0 && (read_errs + write_errs + fs.read_faults + fs.program_faults) > 0 {
-            eprintln!("# FAIL: faults fired at zero rate");
-            failures += 1;
+        if rate == 0.0 {
+            assert_eq!(
+                read_errs + write_errs + fs.read_faults + fs.program_faults,
+                0,
+                "{ops} ops, seed {seed:#x}: faults fired at zero rate"
+            );
         }
-        let pct = (rate * 1e4) as u64; // basis points keep metric names stable
-        h.metric(&format!("device_read_errors_bp{pct}"), read_errs as f64);
-        h.metric(&format!("device_write_errors_bp{pct}"), write_errs as f64);
-        h.metric(&format!("device_injected_read_faults_bp{pct}"), fs.read_faults as f64);
-        h.metric(&format!("device_injected_program_faults_bp{pct}"), fs.program_faults as f64);
-        h.metric(&format!("device_injected_erase_faults_bp{pct}"), fs.erase_faults as f64);
-        h.metric(&format!("device_retired_blocks_bp{pct}"), dev.ftl_stats().retired_blocks as f64);
-        eprintln!(
-            "# device rate {rate}: injected {}/{}/{} read/program/erase faults, surfaced \
-             {read_errs} read + {write_errs} write errors, {} retired blocks, integrity ok",
-            fs.read_faults,
-            fs.program_faults,
-            fs.erase_faults,
-            dev.ftl_stats().retired_blocks
-        );
     }
-    failures
 }

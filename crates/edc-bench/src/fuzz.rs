@@ -1,5 +1,5 @@
 //! Dependency-free, seeded, structure-aware fuzzer for every
-//! `edc-compress` decoder.
+//! `edc-compress` decoder and the `.edcrr` log reader, run as tests.
 //!
 //! The decoder-hardening contract (DESIGN.md §10) says: for *arbitrary*
 //! input bytes, `decompress`/`decompress_into` must return a typed error
@@ -8,30 +8,29 @@
 //! engine behind that claim:
 //!
 //! * **Corpus** — valid compressed streams of every codec over text-like,
-//!   zero, periodic and random blocks (plus framed streams for
-//!   [`edc_compress::frame`]).
+//!   zero, periodic and random blocks, framed streams for
+//!   [`edc_compress::frame`], and the two committed golden `.edcrr` logs
+//!   for [`edc_core::parse_edcrr`].
 //! * **Mutations** — seeded bit flips, byte sets, truncations, random
 //!   extensions, cross-stream splices, region duplications, and pure
 //!   random byte strings; each decoded against several expected lengths
 //!   (the true one, zero, small, and decorrelated random values).
 //! * **Oracle** — every decode runs under [`std::panic::catch_unwind`]
-//!   (with the default hook silenced for the run): a panic, an `Ok` of
-//!   the wrong size, or an output buffer past `expected_len` is a crash.
-//! * **Minimizer** — greedy chunk-then-byte removal shrinks any crasher
-//!   before it is reported, so the reproducer that lands in a regression
-//!   fixture is as small as the failure allows.
+//!   (with the panic hook silenced on the fuzzing thread): a panic, an
+//!   `Ok` of the wrong size, or an output buffer past `expected_len` is a
+//!   crash.
+//! * **Minimizer** — greedy chunk-then-byte removal shrinks any codec
+//!   crasher before it is reported, so the reproducer that lands in a
+//!   regression fixture is as small as the failure allows.
 //!
-//! The `edc-bench fuzz` subcommand ([`run`]) drives [`run_campaign`] and
-//! fails on any crash; minimized crashers are printed as Rust array
-//! literals ready to check in under
+//! A failing campaign panics with each crasher as a Rust array literal
+//! ready to check in under
 //! `crates/edc-compress/tests/fuzz_regressions.rs`.
 
-use crate::{CmdResult, Harness};
 use edc_compress::{codec_by_id, frame, Codec, CodecId};
 use edc_datagen::rng::Rng64;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
-use std::time::Instant;
 
 /// What the oracle observed for one decoded input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,11 +49,22 @@ pub enum Verdict {
     Overrun,
 }
 
-/// A minimized crashing input.
+/// The decoders the campaign drives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decoder {
+    /// One codec's raw stream decoder.
+    Codec(CodecId),
+    /// [`frame::decompress`].
+    Frame,
+    /// [`edc_core::parse_edcrr`].
+    Edcrr,
+}
+
+/// A crashing input, minimized when a codec decoder crashed.
 #[derive(Debug, Clone)]
 pub struct Crash {
-    /// Codec whose decoder misbehaved (`None` = the frame decoder).
-    pub codec: Option<CodecId>,
+    /// The decoder that misbehaved.
+    pub decoder: Decoder,
     /// Expected length passed to the decoder.
     pub expected_len: usize,
     /// Minimized input bytes that still reproduce the failure.
@@ -82,6 +92,38 @@ impl FuzzReport {
     pub fn passed(&self) -> bool {
         self.crashes.is_empty()
     }
+
+    /// Count one self-delimiting decode (`expected_len` does not apply).
+    fn tally(&mut self, decoder: Decoder, verdict: Verdict, input: Vec<u8>) {
+        match verdict {
+            Verdict::Rejected => self.rejected += 1,
+            Verdict::Accepted => self.accepted += 1,
+            verdict => self.crashes.push(Crash { decoder, expected_len: 0, input, verdict }),
+        }
+    }
+
+    /// The campaign's pass condition.
+    ///
+    /// # Panics
+    /// With every crasher rendered as pasteable Rust, if any decoder
+    /// violated the hardening contract.
+    pub fn assert_clean(&self, what: &str) {
+        let crashers: Vec<String> = self
+            .crashes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| match c.decoder {
+                Decoder::Edcrr => save_log_crasher(i, c),
+                _ => render_crash(c),
+            })
+            .collect();
+        assert!(
+            self.passed(),
+            "{what}: {} crash(es); add the minimized streams as regressions:\n{}",
+            crashers.len(),
+            crashers.join("\n")
+        );
+    }
 }
 
 /// Decode `input` with `codec` against `expected_len` under the panic
@@ -108,9 +150,9 @@ fn oracle(codec: &dyn Codec, input: &[u8], expected_len: usize) -> Verdict {
     }
 }
 
-/// Decode a frame under the panic oracle (frames carry their own length).
-fn frame_oracle(input: &[u8]) -> Verdict {
-    match catch_unwind(AssertUnwindSafe(|| frame::decompress(input))) {
+/// Run a self-delimiting decoder (a frame, a log) under the panic oracle.
+fn parse_oracle<T, E>(parse: impl Fn(&[u8]) -> Result<T, E>, input: &[u8]) -> Verdict {
+    match catch_unwind(AssertUnwindSafe(|| parse(input))) {
         Err(_) => Verdict::Panicked,
         Ok(Ok(_)) => Verdict::Accepted,
         Ok(Err(_)) => Verdict::Rejected,
@@ -199,9 +241,7 @@ fn mutate(rng: &mut Rng64, stream: &mut Vec<u8>, donor: &[u8]) {
             let from = rng.below_usize(donor.len());
             let len = rng.range_usize(1, (donor.len() - from).min(64) + 1);
             let at = rng.below_usize(stream.len() + 1);
-            for (k, b) in donor[from..from + len].iter().enumerate() {
-                stream.insert(at + k, *b);
-            }
+            stream.splice(at..at, donor[from..from + len].iter().copied());
         }
         // Duplicate an internal region (length-extension style streams
         // stress accumulator paths this way).
@@ -213,9 +253,7 @@ fn mutate(rng: &mut Rng64, stream: &mut Vec<u8>, donor: &[u8]) {
             let len = rng.range_usize(1, (stream.len() - from).min(32) + 1);
             let chunk = stream[from..from + len].to_vec();
             let at = rng.below_usize(stream.len() + 1);
-            for (k, b) in chunk.into_iter().enumerate() {
-                stream.insert(at + k, b);
-            }
+            stream.splice(at..at, chunk);
         }
         // Saturate a region with 0xFF (maximal length nibbles/extensions).
         _ => {
@@ -262,15 +300,35 @@ fn minimize(codec: &dyn Codec, mut input: Vec<u8>, expected_len: usize, want: Ve
     input
 }
 
+/// A campaign stops at this many crashers. A broken decoder crashes on a
+/// large share of inputs, and minimizing thousands of them would take
+/// hours; a handful is enough to act on.
+const MAX_CRASHES: usize = 8;
+
+thread_local! {
+    /// Set while this thread runs a campaign: its probing panics are
+    /// expected and must not be printed.
+    static FUZZING: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Run a fuzz campaign of `total_inputs` mutated/random inputs spread
-/// across all codecs plus the frame decoder, deterministically from
-/// `seed`. The default panic hook is silenced for the duration so the
-/// intentional panic-probing stays quiet; it is restored before return.
+/// across all codecs plus the frame decoder, then one more input per
+/// eight on the `.edcrr` reader, deterministically from `seed`. Panics on
+/// this thread stay quiet for the duration; other threads' panics (tests
+/// running beside it) still print.
 pub fn run_campaign(total_inputs: u64, seed: u64) -> FuzzReport {
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    static QUIET_HOOK: std::sync::Once = std::sync::Once::new();
+    QUIET_HOOK.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !FUZZING.with(Cell::get) {
+                default(info);
+            }
+        }));
+    });
+    FUZZING.with(|f| f.set(true));
     let report = run_campaign_inner(total_inputs, seed);
-    std::panic::set_hook(prev_hook);
+    FUZZING.with(|f| f.set(false));
     report
 }
 
@@ -289,7 +347,7 @@ fn run_campaign_inner(total_inputs: u64, seed: u64) -> FuzzReport {
         })
         .collect();
 
-    while report.inputs < total_inputs {
+    while report.inputs < total_inputs && report.crashes.len() < MAX_CRASHES {
         report.inputs += 1;
         // ~1 in 8 inputs fuzz the frame decoder; the rest a raw codec.
         if rng.chance(0.125) {
@@ -302,16 +360,7 @@ fn run_campaign_inner(total_inputs: u64, seed: u64) -> FuzzReport {
             };
             let donor = frame_corpus[rng.below_usize(frame_corpus.len())].clone();
             mutate(&mut rng, &mut stream, &donor);
-            match frame_oracle(&stream) {
-                Verdict::Rejected => report.rejected += 1,
-                Verdict::Accepted => report.accepted += 1,
-                v => report.crashes.push(Crash {
-                    codec: None,
-                    expected_len: 0,
-                    input: stream,
-                    verdict: v,
-                }),
-            }
+            report.tally(Decoder::Frame, parse_oracle(frame::decompress, &stream), stream);
             continue;
         }
 
@@ -349,7 +398,7 @@ fn run_campaign_inner(total_inputs: u64, seed: u64) -> FuzzReport {
         if let Some((verdict, expected_len)) = worst {
             let input = minimize(codec, stream, expected_len, verdict);
             report.crashes.push(Crash {
-                codec: Some(codec.id()),
+                decoder: Decoder::Codec(codec.id()),
                 expected_len,
                 input,
                 verdict,
@@ -357,82 +406,87 @@ fn run_campaign_inner(total_inputs: u64, seed: u64) -> FuzzReport {
             // Keep hunting: one campaign can surface several distinct bugs.
         }
     }
+
+    // The `.edcrr` reader: each golden log mutated like a codec stream.
+    // It draws after the loop above, so a seed's codec and frame inputs
+    // do not depend on it.
+    let logs: [&[u8]; 2] = [
+        include_bytes!("../../../tests/fixtures/golden_sharded.edcrr"),
+        include_bytes!("../../../tests/fixtures/golden_plain.edcrr"),
+    ];
+    for _ in 0..total_inputs / 8 {
+        if report.crashes.len() >= MAX_CRASHES {
+            break;
+        }
+        report.inputs += 1;
+        let mut log = logs[rng.below_usize(logs.len())].to_vec();
+        let donor = logs[rng.below_usize(logs.len())];
+        for _ in 0..rng.range_usize(1, 4) {
+            mutate(&mut rng, &mut log, donor);
+        }
+        report.tally(Decoder::Edcrr, parse_oracle(edc_core::parse_edcrr, &log), log);
+    }
     report
+}
+
+/// Save a crashing `.edcrr` mutant — a whole log, too large to print —
+/// under the crash directory, and say where it went.
+fn save_log_crasher(i: usize, c: &Crash) -> String {
+    let dir = crate::faults::crash_dir();
+    let path = dir.join(format!("fuzz_edcrr_{i}.edcrr"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &c.input)) {
+        Ok(()) => {
+            format!("// edcrr {:?}: {} bytes saved to {}", c.verdict, c.input.len(), path.display())
+        }
+        Err(e) => format!("// edcrr {:?}: cannot save {}: {e}", c.verdict, path.display()),
+    }
 }
 
 /// Render a crash as a ready-to-paste Rust byte-array literal.
 pub fn render_crash(c: &Crash) -> String {
-    let codec = c.codec.map_or("frame".to_string(), |id| id.name().to_string());
+    let decoder = match c.decoder {
+        Decoder::Codec(id) => id.name(),
+        Decoder::Frame => "frame",
+        Decoder::Edcrr => "edcrr",
+    };
     let bytes: Vec<String> = c.input.iter().map(|b| format!("0x{b:02X}")).collect();
     format!(
-        "// {codec} {:?} expected_len={}\nlet stream = [{}];",
+        "// {decoder} {:?} expected_len={}\nlet stream = [{}];",
         c.verdict,
         c.expected_len,
         bytes.join(", ")
     )
 }
 
-/// Structure-aware decoder fuzzing campaign: ≥100k seeded mutations of
-/// valid codec/frame streams (5k under `--smoke`) driven through every
-/// decoder behind a panic oracle. Writes `BENCH_fuzz.json`; fails —
-/// printing each minimized crasher as pasteable Rust — if any decode
-/// panics, overruns the expected length, or silently returns the wrong
-/// size.
-pub fn run(smoke: bool, out_dir: &Path) -> CmdResult {
-    let total: u64 = if smoke { 5_000 } else { 120_000 };
-    const SEED: u64 = 0xEDC_F002;
-    eprintln!("# fuzz: {total} inputs, seed {SEED:#x}");
-    let t0 = Instant::now();
-    let report = run_campaign(total, SEED);
-    let elapsed = t0.elapsed().as_secs_f64();
-
-    let mut h = Harness::new("fuzz", 1);
-    h.metric("inputs", report.inputs as f64);
-    h.metric("rejected", report.rejected as f64);
-    h.metric("accepted", report.accepted as f64);
-    h.metric("crashes", report.crashes.len() as f64);
-    h.metric("inputs_per_sec", report.inputs as f64 / elapsed.max(1e-9));
-    h.note(&format!("seed {SEED:#x}; every decode ran behind a panic/overrun oracle"));
-    eprintln!(
-        "# fuzz: {} inputs in {elapsed:.1}s — {} rejected, {} accepted, {} crash(es)",
-        report.inputs,
-        report.rejected,
-        report.accepted,
-        report.crashes.len()
-    );
-    if !report.passed() {
-        let dir = out_dir.join("crashers");
-        let _ = std::fs::create_dir_all(&dir);
-        for (i, c) in report.crashes.iter().enumerate() {
-            eprintln!("{}", render_crash(c));
-            // Persist the minimized stream too, so the crasher survives
-            // scrollback and can be re-fed to the decoders directly.
-            let p = dir.join(format!("fuzz_{i}.bin"));
-            match std::fs::write(&p, &c.input) {
-                Ok(()) => eprintln!("# crash input saved: {}", p.display()),
-                Err(e) => eprintln!("# warn: cannot save {}: {e}", p.display()),
-            }
-        }
-        eprintln!("# add the minimized streams above as regressions");
-    }
-    h.finish(out_dir, report.crashes.len() as u64)?;
-    eprintln!("# fuzz campaign passed: zero panics, overruns or wrong-length decodes");
-    Ok(())
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The seed of the smoke and full campaigns.
+    const SEED: u64 = 0xEDC_F002;
+
     /// A small deterministic campaign must find nothing on the hardened
-    /// decoders — this is the in-tree smoke version of `edc-bench fuzz`.
+    /// decoders.
     #[test]
     fn small_campaign_is_clean() {
         let report = run_campaign(1500, 0xEDC_F022);
-        assert_eq!(report.inputs, 1500);
-        assert!(report.passed(), "crashes: {:?}", report.crashes);
+        assert_eq!(report.inputs, 1500 + 1500 / 8, "codec and frame inputs, then .edcrr ones");
+        report.assert_clean("1500 inputs, seed 0xedcf022");
         assert!(report.rejected > 0, "mutations never rejected — corpus broken?");
         assert!(report.accepted > 0, "nothing decoded — corpus broken?");
+    }
+
+    /// The smoke campaign: 5k inputs, the first 5k of the full campaign.
+    #[test]
+    fn fuzz_campaign_smoke_is_clean() {
+        run_campaign(5_000, SEED).assert_clean("5k inputs, seed 0xedcf002");
+    }
+
+    /// The full campaign: 120k inputs (≈500k decodes). Release-only
+    /// (`cargo test --release -- --ignored`); about 30 s in a debug build.
+    #[test]
+    #[ignore = "full size; run with --release -- --ignored"]
+    fn fuzz_campaign_full_is_clean() {
+        run_campaign(120_000, SEED).assert_clean("120k inputs, seed 0xedcf002");
     }
 
     /// The campaign is deterministic in its seed.
@@ -464,7 +518,7 @@ mod tests {
     #[test]
     fn render_crash_is_pasteable() {
         let c = Crash {
-            codec: Some(CodecId::Lz4),
+            decoder: Decoder::Codec(CodecId::Lz4),
             expected_len: 64,
             input: vec![0x4F, 0xFF],
             verdict: Verdict::Overrun,

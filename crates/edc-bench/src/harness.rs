@@ -306,15 +306,8 @@ pub struct ParsedReport {
     /// bytes count, its `throughput_mib_s`.
     pub cases: Vec<(String, Option<f64>)>,
     /// Every scalar metric, in file order; a non-finite value (written
-    /// as `null`) reads back as NaN, so a NaN gate still fails the check.
+    /// as `null`) reads back as NaN.
     pub metrics: Vec<(String, f64)>,
-}
-
-impl ParsedReport {
-    /// The `gate0_*` verdict metrics (must be exactly 0 in a passing run).
-    pub fn gates(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.metrics.iter().filter(|(k, _)| k.starts_with("gate0_")).map(|(k, v)| (k.as_str(), *v))
-    }
 }
 
 /// Parse what [`Harness::to_json`] wrote. Line-based, relying on that
@@ -463,10 +456,10 @@ mod tests {
         h.run("plain", || ());
         h.record_case("write/dup40/on", vec![2_000_000, 1_000_000], Some(1 << 20));
         h.run("quoted \"name\" \\ \u{1}", || ());
-        h.metric("gate0_unrepaired_loss", 0.0);
+        h.metric("unrepaired_loss", 0.0);
         h.metric("speedup", 2.5);
         h.metric("nan", f64::NAN);
-        h.metric("gate0_trend_violation", 1.0);
+        h.metric("trend_violation", 1.0);
         h.series("live_bytes", vec![(0, 1.0), (1_000, 2.5)]);
         h.note("a \"note\": 1, with, commas");
         let parsed = parse_report(&h.to_json());
@@ -475,14 +468,12 @@ mod tests {
         assert_eq!(parsed.cases[0].1, None);
         // 1 MiB at the 2 ms median (the upper of two samples) = 500 MiB/s.
         assert_eq!(parsed.cases[1].1, Some(500.0));
-        assert_eq!(
-            parsed.gates().collect::<Vec<_>>(),
-            [("gate0_unrepaired_loss", 0.0), ("gate0_trend_violation", 1.0)]
-        );
-        // Non-finite metrics are written as null and read back as NaN.
         assert_eq!(parsed.metrics.len(), 4);
+        assert_eq!(parsed.metrics[0], ("unrepaired_loss".to_string(), 0.0));
         assert_eq!(parsed.metrics[1], ("speedup".to_string(), 2.5));
+        // Non-finite metrics are written as null and read back as NaN.
         assert!(parsed.metrics[2].0 == "nan" && parsed.metrics[2].1.is_nan());
+        assert_eq!(parsed.metrics[3], ("trend_violation".to_string(), 1.0));
     }
 
     #[test]

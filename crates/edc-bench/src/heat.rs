@@ -1,10 +1,9 @@
 //! `bench-heat`: heat-aware background recompression against a control
-//! arm that never runs the pass — space, hot-read p99, and a power-cut
-//! sweep across the pass.
+//! arm that never runs the pass — space and hot-read p99. A power cut
+//! anywhere in the pass is this module's test.
 
 use crate::content::acgt_run;
 use crate::harness::percentile;
-use crate::sweep::{cut_sweep, CutScenario, SweepReport};
 use crate::{CmdResult, Harness};
 use edc_compress::CodecId;
 use edc_core::pipeline::{EdcPipeline, PipelineConfig};
@@ -219,45 +218,11 @@ fn heat_verify(arm: &mut HeatArm, n_ranks: u64) -> u64 {
     arm.errors += audit.unrecoverable;
     arm.errors
 }
-/// Power-cut sweep over a background recompression pass: fill a store,
-/// let everything cool, then cut at every page program of the pass.
-/// Every run must read back bit-exact after recovery — the pass never
-/// changes content, so there is no "old version" to accept.
-fn heat_power_cut_sweep(smoke: bool) -> SweepReport {
-    let runs: u64 = if smoke { 6 } else { 16 };
-    let flushed_at = (runs + 1) * HEAT_CLOCK_STEP_NS;
-    // Everything cools far past the threshold before the pass runs.
-    let cold_at = runs * HEAT_CLOCK_STEP_NS + 400 * HEAT_HALF_LIFE_NS;
-    let scenario = CutScenario {
-        make: &|| EdcPipeline::new(8 << 20, heat_pipeline_config()),
-        prepare: &|p| {
-            for rank in 0..runs {
-                p.write((rank + 1) * HEAT_CLOCK_STEP_NS, heat_offset(rank), &heat_block(rank, 0))
-                    .expect("sweep write");
-            }
-            p.flush_all(flushed_at).expect("sweep flush");
-        },
-        drive: &|p| p.recompress_pass(cold_at, CodecId::Deflate, usize::MAX).map(|_| ()),
-        count_lost: &|p| {
-            let mut lost = 0;
-            for rank in 0..runs {
-                match p.read(1 << 40, heat_offset(rank), HEAT_RUN_BLOCKS * 4096) {
-                    Ok(got) if got == heat_block(rank, 0) => {}
-                    _ => lost += 1,
-                }
-            }
-            (runs - lost, lost)
-        },
-    };
-    cut_sweep("recompression pass", &scenario).0
-}
-
 /// Heat-aware background recompression benchmark: a seeded Zipfian
 /// steady-state workload driven through two byte-identical sharded
 /// pipelines — one running `recompress` after every round, one never —
 /// gated on the recompressing arm ending with a strictly smaller live
-/// footprint AND hot-read p99 within 5% of the control, plus a power-cut
-/// sweep across the pass proving zero journaled-run data loss. Writes
+/// footprint AND hot-read p99 within 5% of the control. Writes
 /// `BENCH_heat.json`; fails on any gate violation.
 pub fn run(smoke: bool, out_dir: &Path) -> CmdResult {
     use edc_datagen::{Rng64, Zipfian};
@@ -418,27 +383,52 @@ pub fn run(smoke: bool, out_dir: &Path) -> CmdResult {
         },
     );
 
-    // Gate 3: a power cut anywhere inside the pass loses nothing.
-    let sweep = heat_power_cut_sweep(smoke);
-    h.metric("power_cut_points", sweep.cut_points as f64);
-    h.metric("power_cut_lost_blocks", sweep.lost as f64);
-    h.metric("power_cut_payload_mismatches", sweep.payload_mismatches as f64);
-    eprintln!(
-        "# power-cut sweep: {} cut points across the pass, {} lost block(s), {} payload \
-         mismatch(es)",
-        sweep.cut_points, sweep.lost, sweep.payload_mismatches
-    );
-    if sweep.violations() > 0 {
-        eprintln!("# FAIL: power-cut sweep across the recompression pass lost data");
-        failures += sweep.violations();
+    h.finish(out_dir, failures)?;
+    eprintln!("# heat bench passed: {:.1}% space saved at {p99_ratio:.3}x p99", saving * 100.0);
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sweep::{cut_sweep, CutScenario};
+
+    /// Power-cut sweep over a background recompression pass: fill a
+    /// store, let everything cool, then cut at every page program of the
+    /// pass. Every run must read back bit-exact after recovery — the pass
+    /// never changes content, so there is no "old version" to accept.
+    fn heat_power_cut_sweep(runs: u64) {
+        let flushed_at = (runs + 1) * HEAT_CLOCK_STEP_NS;
+        // Everything cools far past the threshold before the pass runs.
+        let cold_at = runs * HEAT_CLOCK_STEP_NS + 400 * HEAT_HALF_LIFE_NS;
+        let scenario = CutScenario {
+            make: &|| EdcPipeline::new(8 << 20, heat_pipeline_config()),
+            prepare: &|p| {
+                for rank in 0..runs {
+                    let now = (rank + 1) * HEAT_CLOCK_STEP_NS;
+                    p.write(now, heat_offset(rank), &heat_block(rank, 0)).expect("sweep write");
+                }
+                p.flush_all(flushed_at).expect("sweep flush");
+            },
+            drive: &|p| p.recompress_pass(cold_at, CodecId::Deflate, usize::MAX).map(|_| ()),
+            count_lost: &|p| {
+                let mut lost = 0;
+                for rank in 0..runs {
+                    match p.read(1 << 40, heat_offset(rank), HEAT_RUN_BLOCKS * 4096) {
+                        Ok(got) if got == heat_block(rank, 0) => {}
+                        _ => lost += 1,
+                    }
+                }
+                (runs - lost, lost)
+            },
+        };
+        let what = format!("recompression pass over {runs} runs");
+        cut_sweep(&what, &scenario).0.assert_zero_loss(&what);
     }
 
-    h.finish(out_dir, failures)?;
-    eprintln!(
-        "# heat bench passed: {:.1}% space saved at {p99_ratio:.3}x p99, zero data loss \
-         across {} mid-pass power cuts",
-        saving * 100.0,
-        sweep.cut_points
-    );
-    Ok(())
+    #[test]
+    fn power_cut_anywhere_in_a_recompression_pass_loses_nothing() {
+        heat_power_cut_sweep(6);
+        heat_power_cut_sweep(16);
+    }
 }

@@ -1,10 +1,9 @@
 //! # edc-bench
 //!
 //! Experiment harness regenerating every table and figure of the EDC
-//! paper's evaluation (§II measurements and §IV results), plus the
-//! verdict campaigns that prove the real-bytes store loses nothing. One
-//! module per subcommand of the `edc-bench` binary, which is argument
-//! parsing plus a dispatch table over them:
+//! paper's evaluation (§II measurements and §IV results). One module per
+//! subcommand of the `edc-bench` binary, which is argument parsing plus a
+//! dispatch table over them:
 //!
 //! * [`figures`] — `fig1` … `fig12`, `table1`, `table2`, the DESIGN.md
 //!   ablations, the future-work group and `all`, over one
@@ -12,12 +11,18 @@
 //! * [`concurrency`], [`codecs`], [`heat`], [`dedup`] — the `bench-*`
 //!   subcommands: every timing gate compares two arms measured in the
 //!   same process;
-//! * [`faults`], [`fuzz`], [`scrub`], [`rais`] — the zero-loss campaigns;
-//! * [`check`] — `check-bench`, the verdict check over `BENCH_*.json`;
 //! * [`replay`], [`golden`] — `.edcrr` replay and fixture recording.
 //!
-//! Shared pieces: the timing [`Harness`] and its report parser, the
-//! power-cut [`sweep`] driver, and the seeded block [`content`].
+//! Shared pieces: the timing [`Harness`] and its report parser, and the
+//! seeded block [`content`].
+//!
+//! The zero-loss campaigns are seeded tests of this crate, compiled only
+//! under `cargo test`: the power-cut sweep driver (`sweep`), the fault,
+//! scrub and RAIS campaigns (`faults`, `scrub`, `rais`), the decoder and
+//! `.edcrr` fuzzer (`fuzz`), and the power-cut sweeps across the heat and
+//! dedup benches' scenarios (in those modules' tests). Their full sizes
+//! that are too slow for a debug build are `#[ignore]`d and run with
+//! `cargo test --release -- --ignored`.
 //!
 //! A wall-clock number measured here is never compared with one
 //! committed from another run; comparing commits is the repo benchmark's
@@ -29,24 +34,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod check;
 pub mod codecs;
 pub mod concurrency;
 pub mod content;
 pub mod dedup;
 pub mod env;
 pub mod experiments;
-pub mod faults;
 pub mod figures;
-pub mod fuzz;
 pub mod golden;
 pub mod harness;
 pub mod heat;
 pub mod output;
-pub mod rais;
 pub mod replay;
-pub mod scrub;
-pub mod sweep;
 
 pub use env::ExperimentEnv;
 pub use harness::Harness;
@@ -98,3 +97,14 @@ pub fn verdict(what: &str, violations: u64) -> CmdResult {
         Err(CmdError::Failed { what: what.to_string(), violations })
     }
 }
+
+#[cfg(test)]
+mod faults;
+#[cfg(test)]
+mod fuzz;
+#[cfg(test)]
+mod rais;
+#[cfg(test)]
+mod scrub;
+#[cfg(test)]
+mod sweep;

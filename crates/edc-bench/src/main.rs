@@ -1,5 +1,5 @@
 //! `edc-bench` — regenerate the EDC paper's tables and figures, and run
-//! the store's verdict campaigns.
+//! the store's benches.
 //!
 //! ```text
 //! cargo run -p edc-bench --release -- all
@@ -9,29 +9,28 @@
 //!
 //! Subcommands: `fig1 fig2 fig3 table1 table2 fig8 fig9 fig10 fig11 fig12
 //! ablations future-work timeline mixed calibrate bench-concurrency
-//! bench-codecs bench-heat bench-dedup check-bench fault-campaign fuzz
-//! scrub-campaign rais-campaign replay record-golden all` (the default).
-//! This file is argument parsing plus the dispatch table; each subcommand
-//! lives in the `edc_bench` library module the table names.
+//! bench-codecs bench-heat bench-dedup replay record-golden all` (the
+//! default). This file is argument parsing plus the dispatch table; each
+//! subcommand lives in the `edc_bench` library module the table names.
 //!
-//! Flags: `--quick` shrinks trace durations and bench workloads for smoke
-//! runs, and `--smoke` does the same for the `bench-*` subcommands and
-//! the campaigns; `--out DIR` sets the output directory (default
-//! `results/`); `check-bench --baseline DIR --fresh DIR` checks a fresh
-//! run's `BENCH_*.json` against the committed ones — every `gate0_*`
-//! metric exactly 0, no gate or case name vanished, timings never
-//! compared; `bench-codecs --prior FILE` records the decode rows of an
-//! earlier `BENCH_codecs.json` (same host, the commit compared against)
-//! beside the fresh ones as `prior_decompress_*` / `speedup_decompress_*`
-//! metrics; `replay <log.edcrr>...` re-executes recorded op logs and
-//! fails on any divergence; `record-golden <path>` regenerates the
-//! committed golden fixture. An unknown subcommand or flag exits 2; a
-//! failed gate exits 1.
+//! Flags, each taken only by the subcommands that read it (any other
+//! flag exits 2): `--quick` shrinks trace durations for the figures and
+//! acts as `--smoke` for the `bench-*` subcommands, where `--smoke`
+//! shrinks the workloads; `--out DIR` sets the output directory (default
+//! `results/`) of the figures and benches; `bench-codecs --prior FILE`
+//! records the decode rows of an earlier `BENCH_codecs.json` (same host,
+//! the commit compared against) beside the fresh ones as
+//! `prior_decompress_*` / `speedup_decompress_*` metrics. `replay
+//! <log.edcrr>...` re-executes recorded op logs and fails on any
+//! divergence; `record-golden <path>` regenerates the committed golden
+//! fixtures. An unknown subcommand or flag exits 2; a failed gate
+//! exits 1.
+//!
+//! The zero-loss campaigns (power cuts, faults, scrub, RAIS, fuzzing)
+//! are seeded tests of the `edc_bench` library, not subcommands.
 
 use edc_bench::figures::{self, Figures};
-use edc_bench::{
-    check, codecs, concurrency, dedup, faults, fuzz, golden, heat, rais, replay, scrub, CmdResult,
-};
+use edc_bench::{codecs, concurrency, dedup, golden, heat, replay, CmdResult};
 use std::path::PathBuf;
 
 /// The parsed command line.
@@ -47,18 +46,18 @@ struct Args {
     out_dir: PathBuf,
     /// `--prior FILE`.
     prior: Option<PathBuf>,
-    /// `--baseline DIR`.
-    baseline: PathBuf,
-    /// `--fresh DIR`.
-    fresh: PathBuf,
     /// Everything after the subcommand that is not a flag.
     operands: Vec<PathBuf>,
+    /// Every flag given, in order, for the chosen row to vet.
+    flags: Vec<String>,
 }
 
 /// One row of the dispatch table.
 struct Command {
     /// The subcommand's name, then any aliases the usage string omits.
     names: &'static [&'static str],
+    /// The flags the row reads; any other flag is refused.
+    flags: &'static [&'static str],
     run: Run,
 }
 
@@ -70,12 +69,21 @@ enum Run {
     Cmd(fn(&Args) -> CmdResult),
 }
 
+/// What a figure group reads.
+const FIGURE_FLAGS: &[&str] = &["--quick", "--out"];
+/// What a `bench-*` subcommand reads (`--quick` implies `--smoke`).
+const BENCH_FLAGS: &[&str] = &["--quick", "--smoke", "--out"];
+
 const fn fig(names: &'static [&'static str], group: fn(&Figures)) -> Command {
-    Command { names, run: Run::Figures(group) }
+    Command { names, flags: FIGURE_FLAGS, run: Run::Figures(group) }
 }
 
-const fn cmd(names: &'static [&'static str], run: fn(&Args) -> CmdResult) -> Command {
-    Command { names, run: Run::Cmd(run) }
+const fn cmd(
+    names: &'static [&'static str],
+    flags: &'static [&'static str],
+    run: fn(&Args) -> CmdResult,
+) -> Command {
+    Command { names, flags, run: Run::Cmd(run) }
 }
 
 const COMMANDS: &[Command] = &[
@@ -94,17 +102,14 @@ const COMMANDS: &[Command] = &[
     fig(&["timeline"], Figures::timeline),
     fig(&["mixed"], Figures::mixed),
     fig(&["calibrate"], Figures::calibrate),
-    cmd(&["bench-concurrency"], |a| concurrency::run(a.smoke, &a.out_dir)),
-    cmd(&["bench-codecs"], |a| codecs::run(a.smoke, &a.out_dir, a.prior.as_deref())),
-    cmd(&["bench-heat"], |a| heat::run(a.smoke, &a.out_dir)),
-    cmd(&["bench-dedup"], |a| dedup::run(a.smoke, &a.out_dir)),
-    cmd(&["check-bench"], |a| check::run(&a.baseline, &a.fresh)),
-    cmd(&["fault-campaign"], |a| faults::run(a.smoke, &a.out_dir)),
-    cmd(&["fuzz"], |a| fuzz::run(a.smoke, &a.out_dir)),
-    cmd(&["scrub-campaign"], |a| scrub::run(a.smoke, &a.out_dir)),
-    cmd(&["rais-campaign"], |a| rais::run(a.smoke, &a.out_dir)),
-    cmd(&["replay"], |a| replay::run(&a.operands)),
-    cmd(&["record-golden"], |a| golden::run(a.operands.first().map(PathBuf::as_path))),
+    cmd(&["bench-concurrency"], BENCH_FLAGS, |a| concurrency::run(a.smoke, &a.out_dir)),
+    cmd(&["bench-codecs"], &["--quick", "--smoke", "--out", "--prior"], |a| {
+        codecs::run(a.smoke, &a.out_dir, a.prior.as_deref())
+    }),
+    cmd(&["bench-heat"], BENCH_FLAGS, |a| heat::run(a.smoke, &a.out_dir)),
+    cmd(&["bench-dedup"], BENCH_FLAGS, |a| dedup::run(a.smoke, &a.out_dir)),
+    cmd(&["replay"], &[], |a| replay::run(&a.operands)),
+    cmd(&["record-golden"], &[], |a| golden::run(a.operands.first().map(PathBuf::as_path))),
     fig(&["all"], Figures::all),
 ];
 
@@ -113,7 +118,7 @@ fn usage() -> String {
     let names: Vec<&str> = COMMANDS.iter().map(|c| c.names[0]).collect();
     format!(
         "usage: edc-bench [COMMAND] [--quick] [--smoke] [--out DIR] [--prior FILE] \
-         [--baseline DIR] [--fresh DIR] [OPERAND...]\ncommands: {}",
+         [OPERAND...]\ncommands: {}",
         names.join(" ")
     )
 }
@@ -126,9 +131,8 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         smoke: false,
         out_dir: PathBuf::from("results"),
         prior: None,
-        baseline: PathBuf::from("results-baseline"),
-        fresh: PathBuf::from("results"),
         operands: Vec::new(),
+        flags: Vec::new(),
     };
     let mut argv = argv.into_iter();
     while let Some(arg) = argv.next() {
@@ -139,12 +143,17 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--smoke" => args.smoke = true,
             "--out" => args.out_dir = value()?,
             "--prior" => args.prior = Some(value()?),
-            "--baseline" => args.baseline = value()?,
-            "--fresh" => args.fresh = value()?,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
-            _ if args.cmd.is_empty() => args.cmd = arg,
-            _ => args.operands.push(PathBuf::from(arg)),
+            _ if args.cmd.is_empty() => {
+                args.cmd = arg;
+                continue;
+            }
+            _ => {
+                args.operands.push(PathBuf::from(arg));
+                continue;
+            }
         }
+        args.flags.push(arg);
     }
     args.smoke |= args.quick;
     if args.cmd.is_empty() {
@@ -153,15 +162,23 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
+/// The row `args` names, once it is known to read every flag given.
+fn command(args: &Args) -> Result<&'static Command, String> {
+    let Some(command) = COMMANDS.iter().find(|c| c.names.contains(&args.cmd.as_str())) else {
+        return Err(format!("unknown command {:?}", args.cmd));
+    };
+    match args.flags.iter().find(|f| !command.flags.contains(&f.as_str())) {
+        Some(flag) => Err(format!("{} does not take {flag}", args.cmd)),
+        None => Ok(command),
+    }
+}
+
 fn main() {
-    let bad_invocation = |complaint: String| -> ! {
+    let resolved = parse(std::env::args().skip(1)).and_then(|args| Ok((command(&args)?, args)));
+    let (command, args) = resolved.unwrap_or_else(|complaint| {
         eprintln!("{complaint}\n{}", usage());
         std::process::exit(2);
-    };
-    let args = parse(std::env::args().skip(1)).unwrap_or_else(|e| bad_invocation(e));
-    let Some(command) = COMMANDS.iter().find(|c| c.names.contains(&args.cmd.as_str())) else {
-        bad_invocation(format!("unknown command {:?}", args.cmd));
-    };
+    });
     let outcome = match command.run {
         Run::Figures(group) => figures::run(args.quick, &args.out_dir, group),
         Run::Cmd(run) => run(&args),
@@ -189,24 +206,39 @@ mod tests {
         assert_eq!(a.operands, [PathBuf::from("a.edcrr"), PathBuf::from("b.edcrr")]);
         let a = parse_str("--quick").unwrap();
         assert_eq!((a.cmd.as_str(), a.quick, a.smoke), ("all", true, true));
-        let a = parse_str("check-bench").unwrap();
-        assert_eq!((a.baseline, a.fresh), ("results-baseline".into(), "results".into()));
+        assert_eq!(a.flags, ["--quick"]);
     }
 
     #[test]
     fn unknown_flags_and_missing_values_are_refused() {
         assert_eq!(parse_str("fig1 --nonsense").unwrap_err(), "unknown flag \"--nonsense\"");
         assert_eq!(parse_str("fig1 --out").unwrap_err(), "--out needs a value");
+        // A known flag the subcommand does not read is refused too.
+        let resolve = |line: &str| parse_str(line).and_then(|a| command(&a).map(|c| c.names[0]));
+        assert_eq!(resolve("fig1 --prior x").unwrap_err(), "fig1 does not take --prior");
+        assert_eq!(resolve("replay --smoke a.edcrr").unwrap_err(), "replay does not take --smoke");
+        assert_eq!(resolve("--smoke").unwrap_err(), "all does not take --smoke");
+        assert_eq!(
+            resolve("bench-heat --prior x").unwrap_err(),
+            "bench-heat does not take --prior"
+        );
+        assert_eq!(resolve("fig1 --quick --out o"), Ok("fig1"));
+        assert_eq!(resolve("bench-codecs --quick --prior old.json"), Ok("bench-codecs"));
+        assert_eq!(resolve("replay a.edcrr"), Ok("replay"));
+        // The deleted campaign subcommands are unknown commands.
+        for gone in ["fault-campaign", "scrub-campaign", "rais-campaign", "fuzz", "check-bench"] {
+            assert_eq!(resolve(gone).unwrap_err(), format!("unknown command {gone:?}"));
+        }
     }
 
     #[test]
     fn usage_and_module_doc_list_exactly_the_dispatched_subcommands() {
         let listed: Vec<&str> = COMMANDS.iter().map(|c| c.names[0]).collect();
-        assert_eq!(listed.len(), 27);
+        assert_eq!(listed.len(), 22);
         let mut unique: Vec<&str> = COMMANDS.iter().flat_map(|c| c.names).copied().collect();
         unique.sort_unstable();
         unique.dedup();
-        assert_eq!(unique.len(), 30, "a name dispatches to one row only");
+        assert_eq!(unique.len(), 25, "a name dispatches to one row only");
         assert!(usage().ends_with(&listed.join(" ")));
         // The module doc's "Subcommands:" sentence is the same list.
         let doc: String = include_str!("main.rs")

@@ -1,9 +1,9 @@
 //! The power-cut sweep: cut at every page program of a scenario, recover,
 //! and count what was lost.
 //!
-//! One driver for every campaign that proves "a power cut anywhere in X
-//! loses nothing committed" — the fault campaign's write workload, the
-//! heat bench's background recompression pass, the dedup bench's
+//! One driver for every test that proves "a power cut anywhere in X loses
+//! nothing committed" — the fault campaign's write workload, the heat
+//! bench's background recompression pass, the dedup bench's
 //! hit-and-relocate sequence. A clean run of the scenario teaches the
 //! driver how many page programs its armed phase issues; each of those
 //! program indices then gets a fresh store, the same preamble, a
@@ -16,7 +16,6 @@
 use edc_core::error::{EdcError, WriteError};
 use edc_core::pipeline::EdcPipeline;
 use edc_flash::FaultPlan;
-use std::time::Instant;
 
 /// One power-cut scenario, as closures over a store.
 pub struct CutScenario<'a> {
@@ -43,8 +42,6 @@ pub struct SweepReport {
     /// Cuts that surfaced typed, recovered and were checked by the loss
     /// rule (equals `programs` in a passing sweep).
     pub cut_points: u64,
-    /// Runs the recoveries replayed from the journal, summed.
-    pub replayed_runs: u64,
     /// Units the loss rule accepted, summed over all cuts.
     pub verified: u64,
     /// Units the loss rule counted lost, summed over all cuts.
@@ -58,19 +55,30 @@ pub struct SweepReport {
     /// Every cut index that misbehaved in any of the ways above, for
     /// callers that save a crash artifact per bad cut.
     pub bad_cuts: Vec<u64>,
-    /// Wall time spent in `recover()`, summed over `cut_points`, ns.
-    pub recovery_ns_sum: u128,
-    /// Slowest single `recover()`, ns.
-    pub recovery_ns_max: u128,
 }
 
 impl SweepReport {
-    /// Gate violations: one per cut that misbehaved, plus one if anything
-    /// was lost or recovered with a mismatched payload.
-    pub fn violations(&self) -> u64 {
-        self.unsurfaced_cuts
-            + self.recover_failures
-            + u64::from(self.lost > 0 || self.payload_mismatches > 0)
+    /// The sweep's pass condition: it swept at least one cut, and every
+    /// cut surfaced as a typed power cut, recovered, and lost nothing.
+    ///
+    /// # Panics
+    /// Naming `what` and every cut that misbehaved, otherwise.
+    pub fn assert_zero_loss(&self, what: &str) {
+        assert!(self.programs > 0, "{what}: the armed phase programs nothing; the sweep is empty");
+        assert!(
+            self.bad_cuts.is_empty()
+                && self.unsurfaced_cuts + self.recover_failures == 0
+                && (self.lost, self.payload_mismatches) == (0, 0),
+            "{what}: bad cuts {:?} of {}: {} not surfaced as PowerCut, {} failed recovery, \
+             {} unit(s) lost, {} payload mismatch(es)",
+            self.bad_cuts,
+            self.programs,
+            self.unsurfaced_cuts,
+            self.recover_failures,
+            self.lost,
+            self.payload_mismatches
+        );
+        assert_eq!(self.cut_points, self.programs, "{what}: every program index is a checked cut");
     }
 }
 
@@ -104,7 +112,6 @@ pub fn cut_sweep(what: &str, scenario: &CutScenario<'_>) -> (SweepReport, EdcPip
                 continue;
             }
         }
-        let t0 = Instant::now();
         let recovery = match p.recover() {
             Ok(r) => r,
             Err(e) => {
@@ -114,11 +121,7 @@ pub fn cut_sweep(what: &str, scenario: &CutScenario<'_>) -> (SweepReport, EdcPip
                 continue;
             }
         };
-        let dt = t0.elapsed().as_nanos();
-        report.recovery_ns_sum += dt;
-        report.recovery_ns_max = report.recovery_ns_max.max(dt);
         report.payload_mismatches += recovery.payload_mismatches;
-        report.replayed_runs += recovery.replayed_runs;
         let (verified, lost) = (scenario.count_lost)(&mut p);
         report.verified += verified;
         report.lost += lost;
@@ -130,11 +133,9 @@ pub fn cut_sweep(what: &str, scenario: &CutScenario<'_>) -> (SweepReport, EdcPip
     (report, clean)
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::content::text_block;
-    use crate::{verdict, CmdError};
     use edc_core::pipeline::PipelineConfig;
 
     /// Three single-block runs, two blocks apart so none merge.
@@ -173,8 +174,7 @@ mod tests {
         assert_eq!(report.verified, 3 * report.programs);
         assert_eq!((report.lost, report.payload_mismatches), (0, 0));
         assert!(report.bad_cuts.is_empty());
-        assert_eq!(report.violations(), 0);
-        assert_eq!(verdict("three runs", report.violations()), Ok(()));
+        report.assert_zero_loss("three runs");
     }
 
     #[test]
@@ -189,9 +189,9 @@ mod tests {
         assert_eq!(report.lost, 1);
         assert_eq!(report.bad_cuts, vec![0]);
         assert_eq!(report.cut_points, report.programs, "a lossy cut still counts as swept");
-        assert_eq!(report.violations(), 1);
-        let status = verdict("planted", report.violations()).unwrap_err();
-        assert!(matches!(status, CmdError::Failed { violations: 1, .. }));
-        assert_eq!(status.exit_status(), 1);
+        let failed = std::panic::catch_unwind(|| report.assert_zero_loss("planted"))
+            .expect_err("one lost block fails the sweep");
+        let message = failed.downcast_ref::<String>().expect("formatted panic message");
+        assert!(message.contains("planted: bad cuts [0]"), "{message}");
     }
 }

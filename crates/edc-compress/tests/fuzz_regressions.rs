@@ -1,5 +1,5 @@
-//! Minimized crashers from `edc-bench fuzz`, checked in as regression
-//! fixtures.
+//! Minimized crashers from the decoder fuzz campaign (the `fuzz` tests of
+//! `edc-bench`), checked in as regression fixtures.
 //!
 //! Each case is a crafted byte stream that, before the decoder-hardening
 //! pass, panicked, overflowed an accumulator, or ballooned the output far

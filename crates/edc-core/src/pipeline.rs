@@ -1219,7 +1219,7 @@ impl EdcPipeline {
     ///
     /// The walk draws from the fault plan like any device access, so a
     /// rot-injection campaign rots runs *as the scrubber fetches them* —
-    /// the scrub-campaign benchmark measures exactly this. A power cut
+    /// `edc-bench`'s scrub campaign test drives exactly this. A power cut
     /// mid-rewrite surfaces as a typed error; payload-then-commit ordering
     /// keeps the old (already in-place-repaired) run recoverable, so the
     /// cut loses nothing.
@@ -2076,30 +2076,30 @@ mod tests {
     /// The smoke workload shared by the crash tests: a few merged runs, a
     /// write-through run, and an overwrite. Returns (offset, data) pairs
     /// describing the expected final contents.
-    fn crash_workload(p: &mut EdcPipeline) -> Vec<(u64, Vec<u8>)> {
+    fn crash_workload(p: &mut EdcPipeline) -> Result<Vec<(u64, Vec<u8>)>, EdcError> {
         let mut expect = Vec::new();
         for i in 0..6u64 {
             let data = text_block(i as u8);
-            p.write(i, (i * 3) * 4096, &data).unwrap();
+            p.write(i, (i * 3) * 4096, &data)?;
             expect.push(((i * 3) * 4096, data));
         }
         let rand = random_block(99);
-        p.write(10, 40 * 4096, &rand).unwrap();
+        p.write(10, 40 * 4096, &rand)?;
         expect.push((40 * 4096, rand));
-        p.flush_all(20).unwrap();
+        p.flush_all(20)?;
         // Overwrite run 0 after the first flush.
         let v2 = text_block(200);
-        p.write(30, 0, &v2).unwrap();
-        p.flush_all(40).unwrap();
+        p.write(30, 0, &v2)?;
+        p.flush_all(40)?;
         expect[0] = (0, v2);
-        expect
+        Ok(expect)
     }
 
     #[test]
     fn power_cut_at_every_program_recovers_with_zero_data_loss() {
         // Learn the clean run's program count, then cut at every index.
         let mut clean = pipeline();
-        crash_workload(&mut clean);
+        let clean_expect = crash_workload(&mut clean).unwrap();
         let total = clean.stats().programs;
         assert!(total > 8, "workload too small to exercise cuts ({total})");
         for cut in 0..total {
@@ -2108,39 +2108,10 @@ mod tests {
                 power_cut_after_programs: Some(cut),
                 ..FaultPlan::none()
             });
-            let mut cut_err = None;
-            let expect = {
-                // Drive the same workload; the cut surfaces as a typed
-                // error somewhere along the way.
-                let mut run = || -> Result<Vec<(u64, Vec<u8>)>, EdcError> {
-                    let mut expect = Vec::new();
-                    for i in 0..6u64 {
-                        let data = text_block(i as u8);
-                        p.write(i, (i * 3) * 4096, &data)?;
-                        expect.push(((i * 3) * 4096, data));
-                    }
-                    let rand = random_block(99);
-                    p.write(10, 40 * 4096, &rand)?;
-                    expect.push((40 * 4096, rand));
-                    p.flush_all(20)?;
-                    let v2 = text_block(200);
-                    p.write(30, 0, &v2)?;
-                    p.flush_all(40)?;
-                    expect[0] = (0, v2);
-                    Ok(expect)
-                };
-                match run() {
-                    Ok(e) => e,
-                    Err(e) => {
-                        cut_err = Some(e);
-                        Vec::new()
-                    }
-                }
-            };
-            assert!(
-                expect.is_empty(),
-                "cut {cut}/{total} must interrupt the workload"
-            );
+            // Drive the same workload; the cut surfaces as a typed error
+            // somewhere along the way.
+            let cut_err = crash_workload(&mut p).err();
+            assert!(cut_err.is_some(), "cut {cut}/{total} must interrupt the workload");
             assert!(
                 matches!(cut_err, Some(EdcError::Write(WriteError::PowerCut { .. }))),
                 "cut {cut}: expected PowerCut, got {cut_err:?}"
@@ -2160,10 +2131,6 @@ mod tests {
             // Every journaled run reads back exactly; blocks whose run
             // missed its commit read as never-written (zero) or their
             // pre-overwrite contents — never garbage.
-            let clean_expect = {
-                let mut c = pipeline();
-                crash_workload(&mut c)
-            };
             let old0 = text_block(0);
             for (off, data) in &clean_expect {
                 let got = p.read(60, *off, 4096).expect("post-recovery read");
@@ -2188,7 +2155,7 @@ mod tests {
     #[test]
     fn recover_on_healthy_store_rebuilds_identical_state() {
         let mut p = pipeline();
-        let expect = crash_workload(&mut p);
+        let expect = crash_workload(&mut p).unwrap();
         let report = p.recover().expect("recovery on a healthy store");
         assert_eq!(report.payload_mismatches, 0);
         assert_eq!(u64::from(report.torn_tail), 0);
@@ -2201,7 +2168,7 @@ mod tests {
     #[test]
     fn torn_journal_tail_drops_only_the_torn_record() {
         let mut p = pipeline();
-        let expect = crash_workload(&mut p);
+        let expect = crash_workload(&mut p).unwrap();
         // Tear mid-way through the final record (as a cut inside a real
         // journal page program would).
         p.truncate_journal_bytes(p.stats().journal_bytes as usize - 10);
@@ -2309,7 +2276,7 @@ mod tests {
     fn journal_grows_one_record_per_committed_run() {
         let mut p = pipeline();
         assert_eq!(p.stats().journal_records, 0);
-        crash_workload(&mut p);
+        crash_workload(&mut p).unwrap();
         assert!(p.stats().journal_records >= 8, "records {}", p.stats().journal_records);
         assert_eq!(
             p.stats().journal_bytes as usize,

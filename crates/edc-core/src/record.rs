@@ -6,7 +6,7 @@
 //! length-prefixed binary log. A [`Replayer`] rebuilds a fresh store from
 //! the log's [`StoreSpec`] header, re-applies every op with the recorded
 //! timestamps through [`ShardedPipeline::dispatch`], and diffs the output
-//! digests — any fuzz crash, power-cut loss, or fault-campaign anomaly
+//! digests — any fuzz crash, power-cut loss, or fault campaign anomaly
 //! becomes a replayable artifact and a golden test, the same trick
 //! `wasm-rr` uses.
 //!

@@ -1,30 +1,45 @@
-//! Golden record/replay fixture: a committed `.edcrr` op log (generated
-//! once by `edc-bench record-golden`) must replay bit-exactly against a
-//! freshly built store, forever. Any divergence means the engine's
-//! observable behaviour changed — which is either a bug, or an
-//! intentional change that must regenerate the fixture with
+//! Golden record/replay fixtures: every committed `.edcrr` op log under
+//! `tests/fixtures/` (generated by `edc-bench record-golden`) must replay
+//! bit-exactly against a freshly built store, forever. Any divergence
+//! means the engine's observable behaviour changed — which is either a
+//! bug, or an intentional change that must regenerate the fixtures with
 //! `cargo run -p edc-bench -- record-golden tests/fixtures/golden_sharded.edcrr`.
 
 use edc::prelude::*;
+use std::path::{Path, PathBuf};
+
+fn fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
 
 fn fixture_bytes(name: &str) -> Vec<u8> {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+    let path = fixture_dir().join(name);
     std::fs::read(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
 #[test]
-fn golden_sharded_log_replays_bit_exactly() {
-    let bytes = fixture_bytes("golden_sharded.edcrr");
-    let report = Replayer::replay(&bytes).expect("golden log parses");
-    assert!(!report.torn_tail, "golden log has a torn tail");
-    assert!(
-        report.is_exact(),
-        "golden log diverged at {} of {} op(s); first: {}",
-        report.divergences.len(),
-        report.ops,
-        report.divergences.first().map(|d| d.to_string()).unwrap_or_default()
-    );
-    assert!(report.ops > 30, "golden log unexpectedly short ({} ops)", report.ops);
+fn every_committed_fixture_replays_bit_exactly() {
+    let mut fixtures: Vec<PathBuf> = std::fs::read_dir(fixture_dir())
+        .expect("fixture dir")
+        .map(|e| e.expect("fixture entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "edcrr"))
+        .collect();
+    fixtures.sort();
+    assert!(fixtures.len() >= 2, "expected the sharded and plain goldens: {fixtures:?}");
+    for path in &fixtures {
+        let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let name = path.display();
+        let report = Replayer::replay(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(!report.torn_tail, "{name} has a torn tail");
+        assert!(
+            report.is_exact(),
+            "{name} diverged at {} of {} op(s); first: {}",
+            report.divergences.len(),
+            report.ops,
+            report.divergences.first().map(|d| d.to_string()).unwrap_or_default()
+        );
+        assert!(report.ops > 30, "{name} unexpectedly short ({} ops)", report.ops);
+    }
 }
 
 #[test]
