@@ -164,5 +164,5 @@ pub fn run(smoke: bool, out_dir: &Path, prior: Option<&Path>) -> CmdResult {
         }
     }
 
-    h.finish(out_dir, 0)
+    h.finish(out_dir)
 }

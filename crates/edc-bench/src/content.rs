@@ -1,11 +1,11 @@
-//! Seeded block content for the benches and campaigns.
+//! Seeded block content for the golden fixtures and the seeded tests.
 //!
 //! Every workload here verifies reads against the exact bytes it wrote,
 //! so content is a pure function of a small tag: a repeated text phrase
 //! (compresses well under every codec), xorshift noise (incompressible),
 //! or 4-symbol "acgt" noise (Lzf keeps it near raw, Deflate's entropy
 //! coder quarters it — the headroom background recompression needs).
-//! The committed `.edcrr` fixture is recorded from these generators, so
+//! The committed `.edcrr` fixtures are recorded from these generators, so
 //! their output must not change.
 
 /// `phrase` repeated out to `len` bytes.
@@ -40,6 +40,17 @@ pub fn noise_block(seed: u64) -> Vec<u8> {
 /// `len` bytes of low-entropy 4-symbol content unique to `seed`.
 pub fn acgt_run(seed: u64, len: usize) -> Vec<u8> {
     xorshift_bytes(edc_datagen::rng::splitmix64(seed), len, |x| b"acgt"[((x >> 60) & 3) as usize])
+}
+
+/// Blocks per run of [`heat_block`] (16 KiB runs).
+pub const HEAT_RUN_BLOCKS: u64 = 4;
+
+/// Compressible low-entropy payload unique to `(rank, version)`:
+/// 4-symbol content that Lzf compresses modestly and Deflate much
+/// better, so background recompression has headroom that survives the
+/// quantized allocator.
+pub fn heat_block(rank: u64, version: u64) -> Vec<u8> {
+    acgt_run(rank.wrapping_mul(1_000_003).wrapping_add(version), (HEAT_RUN_BLOCKS * 4096) as usize)
 }
 
 #[cfg(test)]

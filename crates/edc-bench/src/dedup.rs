@@ -1,245 +1,164 @@
-//! `bench-dedup`: the content-defined dedup front-end against a
-//! dedup-off control arm — flash bytes and paired write throughput. A
-//! power cut anywhere in dedup-hit writes and a shared-run relocation is
-//! this module's test.
+//! The content-defined dedup front-end against a dedup-off control arm,
+//! as seeded tests: a 40 %-duplicate stream programs fewer flash pages
+//! by exactly one per hit, a duplicate-free stream stores exactly what
+//! dedup off stores, every block reads back bit-exact, and a power cut
+//! anywhere in dedup-hit writes and a shared-run relocation loses
+//! nothing.
 
-use crate::{CmdResult, Harness};
 use edc_core::pipeline::{EdcPipeline, PipelineConfig, PipelineStats};
-use std::path::Path;
-use std::time::Instant;
+use edc_datagen::{BlockClass, DataMix, DupStream};
 
-/// Pipeline config for the dedup bench arms: everything at its default
-/// except the dedup front-end toggle under test.
-fn dedup_bench_config(dedup_on: bool) -> PipelineConfig {
+/// Pipeline config for the two arms: everything at its default except
+/// the dedup front-end toggle under test.
+fn dedup_config(dedup_on: bool) -> PipelineConfig {
     let mut cfg = PipelineConfig::default();
     cfg.dedup.enabled = dedup_on;
     cfg
 }
 
-/// Content-defined dedup front-end benchmark: two seeded block streams
-/// (a 40 %-duplicate Zipfian-reuse mix and a duplicate-free control mix)
-/// each driven through a dedup-on and a dedup-off pipeline. Gated on the
-/// duplicate mix programming strictly fewer flash bytes *and* writing at
-/// least as fast with dedup on, the duplicate-free mix staying within 5 %
-/// of the dedup-off control (the hashing-overhead budget), bit-exact
-/// read-back on every arm, and a clean two-way refcount-ledger
-/// cross-check. Writes `BENCH_dedup.json`; fails on any gate violation.
-pub fn run(smoke: bool, out_dir: &Path) -> CmdResult {
-    use edc_datagen::{BlockClass, DataMix, DupStream};
-    let stream_blocks: usize = if smoke { 1_200 } else { 10_000 };
-    let samples: u32 = if smoke { 5 } else { 7 };
-    let capacity = (stream_blocks as u64 * 4096 * 2).max(16 << 20);
-    let theta = 0.99;
-    let dial = 0.40;
-
-    let mut h = Harness::new("dedup", samples);
-    let mut failures = 0u64;
-    h.metric("stream_blocks", stream_blocks as f64);
-    h.metric("dup_dial", dial);
-    h.metric("zipf_theta", theta);
-    if smoke {
-        h.note("smoke run: reduced workload; absolute numbers are not comparable to full runs");
-    }
-
-    // Text blocks for both mixes: compressible (so the codec work a dedup
-    // hit elides is realistic) and practically collision-free (so the
-    // duplicate-free control really is dedup-free and measures pure
-    // hashing overhead).
-    let make_stream = |frac: f64| {
-        let mut s = DupStream::new(0xEDC_D0D0, DataMix::pure(BlockClass::Text), frac, theta);
-        let blocks: Vec<Vec<u8>> = (0..stream_blocks).map(|_| s.block(4096)).collect();
-        (blocks, s.achieved_dup_fraction())
-    };
-    let (dup40, achieved40) = make_stream(dial);
-    let (dup0, achieved0) = make_stream(0.0);
-    h.metric("dup40_achieved_fraction", achieved40);
-    h.metric("dup0_achieved_fraction", achieved0);
-    eprintln!(
-        "# dedup bench: {stream_blocks} x 4 KiB blocks per arm, duplicate mix dialed \
-         {dial} (achieved {achieved40:.3})"
-    );
-
-    // Scatter the logical placement with a multiplicative permutation:
-    // contiguous offsets would be merged into multi-block runs by the
-    // sequentiality detector, hiding the block-granular duplicates the
-    // mix injects. (The multiplier is odd and prime, so it permutes
-    // `0..stream_blocks` for any modulus.)
-    let pos = |i: usize| (i as u64).wrapping_mul(2_654_435_761) % stream_blocks as u64;
-    let total_bytes = stream_blocks as u64 * 4096;
-    // Write one round of the stream into a pipeline, timed.
-    fn drive_window(
-        p: &mut EdcPipeline,
-        window: &[Vec<u8>],
-        base: usize,
-        clock0: u64,
-        pos: &impl Fn(usize) -> u64,
-    ) -> u64 {
-        let t0 = Instant::now();
-        let mut clock = clock0;
-        for (j, b) in window.iter().enumerate() {
-            clock += 2_000_000;
-            p.write(clock, pos(base + j) * 4096, b).expect("bench write");
-        }
-        t0.elapsed().as_nanos() as u64
-    }
-    // One paired sample: both arms advance through the stream
-    // round-by-round, alternating who goes first, so scheduler and
-    // frequency drift land on both arms alike — the throughput gates
-    // compare the two arms at a few percent, far below the drift a
-    // one-arm-then-the-other protocol shows on a busy machine.
-    let time_pair = |blocks: &[Vec<u8>], flip: bool| -> (u64, u64, EdcPipeline, EdcPipeline) {
-        let rounds = 16;
-        let mut p_on = EdcPipeline::new(capacity, dedup_bench_config(true));
-        let mut p_off = EdcPipeline::new(capacity, dedup_bench_config(false));
-        let (mut t_on, mut t_off) = (0u64, 0u64);
-        let mut clock = 0u64;
-        let chunk = blocks.len().div_ceil(rounds);
-        for (r, window) in blocks.chunks(chunk).enumerate() {
-            let base = r * chunk;
-            if (r % 2 == 0) ^ flip {
-                t_on += drive_window(&mut p_on, window, base, clock, &pos);
-                t_off += drive_window(&mut p_off, window, base, clock, &pos);
-            } else {
-                t_off += drive_window(&mut p_off, window, base, clock, &pos);
-                t_on += drive_window(&mut p_on, window, base, clock, &pos);
-            }
-            clock += window.len() as u64 * 2_000_000;
-        }
-        let t0 = Instant::now();
-        p_on.flush_all(clock + 2_000_000).expect("bench flush");
-        t_on += t0.elapsed().as_nanos() as u64;
-        let t0 = Instant::now();
-        p_off.flush_all(clock + 2_000_000).expect("bench flush");
-        t_off += t0.elapsed().as_nanos() as u64;
-        (t_on, t_off, p_on, p_off)
-    };
-    let mut measured: Vec<(f64, PipelineStats)> = Vec::new();
-    // Median of per-sample paired ratios (throughput on / throughput off):
-    // each sample's two arms share the same machine moment, so the ratio
-    // is drift-free even when absolute throughput swings between samples.
-    let mut paired_ratios: Vec<f64> = Vec::new();
-    for (mix, blocks) in [("dup40", &dup40), ("dup0", &dup0)] {
-        std::hint::black_box(time_pair(blocks, false));
-        let (mut on_ns, mut off_ns) = (Vec::new(), Vec::new());
-        let mut last = None;
-        for s in 0..samples {
-            let (t_on, t_off, p_on, p_off) = time_pair(blocks, s % 2 == 1);
-            on_ns.push(t_on);
-            off_ns.push(t_off);
-            last = Some((p_on, p_off));
-        }
-        let mut ratios: Vec<f64> =
-            on_ns.iter().zip(&off_ns).map(|(&a, &b)| b as f64 / a as f64).collect();
-        ratios.sort_by(f64::total_cmp);
-        paired_ratios.push(ratios[ratios.len() / 2]);
-        let (p_on, p_off) = last.expect("at least one sample");
-        for (arm, samples_ns, mut p) in [("on", on_ns, p_on), ("off", off_ns, p_off)] {
-            let name = format!("write/{mix}/{arm}");
-            let case = h.record_case(&name, samples_ns, Some(total_bytes));
-            // Gate on the *fastest* sample: the work is deterministic, so
-            // min-of-N converges on the true cost while the median still
-            // carries scheduler interference at these short run times.
-            let mib_s = total_bytes as f64 / (1 << 20) as f64 / (case.min_ns as f64 * 1e-9);
-            // Correctness, outside the timed region: every block reads
-            // back bit-exact (offsets are never overwritten, so the
-            // expected bytes are just the stream), and the refcount
-            // ledger cross-checks.
-            let now = stream_blocks as u64 * 2_000_000 + 4_000_000;
-            let mut bad = 0u64;
-            for (i, b) in blocks.iter().enumerate() {
-                match p.read(now, pos(i) * 4096, 4096) {
-                    Ok(got) if &got == b => {}
-                    _ => bad += 1,
-                }
-            }
-            if bad > 0 {
-                eprintln!("# FAIL: {name}: {bad} block(s) did not read back bit-exact");
-                failures += 1;
-            }
-            if let Err(e) = p.verify_dedup() {
-                eprintln!("# FAIL: {name}: refcount ledger cross-check: {e:?}");
-                failures += 1;
-            }
-            measured.push((mib_s, p.stats()));
-        }
-    }
-    let (on40_mib_s, on40) = (measured[0].0, measured[0].1);
-    let (off40_mib_s, off40) = (measured[1].0, measured[1].1);
-    let (_, on0) = (measured[2].0, measured[2].1);
-    let (ratio40, ratio0) = (paired_ratios[0], paired_ratios[1]);
-    let mib = |b: u64| b as f64 / (1 << 20) as f64;
-
-    h.metric("dup40_flash_mib_on", mib(on40.physical_written));
-    h.metric("dup40_flash_mib_off", mib(off40.physical_written));
-    h.metric("dup40_flash_saving_pct", {
-        100.0 * (1.0 - on40.physical_written as f64 / off40.physical_written.max(1) as f64)
-    });
-    h.metric("dup40_dedup_hits", on40.dedup_hits as f64);
-    h.metric("dup40_elided_mib", mib(on40.dedup_elided_bytes));
-    h.metric("dup40_throughput_ratio_on_vs_off", ratio40);
-    h.metric("dup0_dedup_hits", on0.dedup_hits as f64);
-    h.metric("dup0_throughput_ratio_on_vs_off", ratio0);
-    eprintln!(
-        "# dup mix: {:.2} MiB programmed with dedup on vs {:.2} MiB off ({} hits, {:.2} MiB \
-         elided), write {:.1} vs {:.1} MiB/s ({ratio40:.3}x paired)",
-        mib(on40.physical_written),
-        mib(off40.physical_written),
-        on40.dedup_hits,
-        mib(on40.dedup_elided_bytes),
-        on40_mib_s,
-        off40_mib_s
-    );
-    eprintln!(
-        "# dup-free mix: dedup-on at {ratio0:.3}x the dedup-off write throughput, \
-         {} stray hit(s)",
-        on0.dedup_hits
-    );
-
-    // Gate 1: the whole point — the duplicate mix must program strictly
-    // fewer flash bytes than the dedup-off control, by actually hitting.
-    if on40.physical_written >= off40.physical_written {
-        eprintln!("# FAIL: dedup did not program strictly fewer flash bytes on the dup mix");
-        failures += 1;
-    }
-    if on40.dedup_hits == 0 {
-        eprintln!("# FAIL: the dedup front-end never hit on a 40%-duplicate mix");
-        failures += 1;
-    }
-    // Gate 2: hits elide compression and program work, so the dup mix
-    // must also *write* at least as fast as the control.
-    if ratio40 < 1.0 {
-        eprintln!(
-            "# FAIL: dup-mix write throughput fell below the dedup-off control \
-             ({ratio40:.3}x paired)"
-        );
-        failures += 1;
-    }
-    // Gate 3: on duplicate-free data the chunker + content hash must stay
-    // within the 5% hot-path overhead budget.
-    if ratio0 < 0.95 {
-        eprintln!(
-            "# FAIL: hashing overhead on duplicate-free data exceeded the 5% budget \
-             ({ratio0:.3}x paired)"
-        );
-        failures += 1;
-    }
-
-    h.finish(out_dir, failures)?;
-    eprintln!(
-        "# dedup bench passed: {:.1}% flash bytes saved on the dup mix at {ratio0:.3}x dup-free \
-         overhead",
-        100.0 * (1.0 - on40.physical_written as f64 / off40.physical_written.max(1) as f64)
-    );
-    Ok(())
+/// `blocks` seeded 4 KiB text blocks (seed `0xEDC_D0D0`, Zipfian reuse
+/// at θ = 0.99) dialled to `dup_fraction` duplicates. Text is
+/// compressible, so the codec work a hit elides is realistic, and
+/// practically collision-free, so a 0 % stream really is duplicate-free.
+fn dup_stream(blocks: usize, dup_fraction: f64) -> Vec<Vec<u8>> {
+    let mut s = DupStream::new(0xEDC_D0D0, DataMix::pure(BlockClass::Text), dup_fraction, 0.99);
+    (0..blocks).map(|_| s.block(4096)).collect()
 }
 
-#[cfg(test)]
+/// Write `blocks` into a fresh pipeline, 2 ms apart, each once at its
+/// own scattered offset, and flush; check that every block reads back
+/// bit-exact and the refcount ledger cross-checks; return the counters.
+fn write_stream(blocks: &[Vec<u8>], dedup_on: bool) -> PipelineStats {
+    let n = blocks.len() as u64;
+    let mut p = EdcPipeline::new((n * 4096 * 2).max(16 << 20), dedup_config(dedup_on));
+    // Contiguous offsets would be merged into multi-block runs by the
+    // sequentiality detector, hiding the block-granular duplicates the
+    // stream injects; an odd prime multiplier permutes `0..n`.
+    let pos = |i: usize| (i as u64).wrapping_mul(2_654_435_761) % n * 4096;
+    for (i, b) in blocks.iter().enumerate() {
+        p.write((i as u64 + 1) * 2_000_000, pos(i), b).expect("stream write");
+    }
+    p.flush_all((n + 1) * 2_000_000).expect("stream flush");
+    for (i, b) in blocks.iter().enumerate() {
+        let got = p.read((n + 2) * 2_000_000, pos(i), 4096).expect("read back");
+        assert!(&got == b, "dedup {dedup_on}: block {i} did not read back bit-exact");
+    }
+    p.verify_dedup().expect("refcount ledger cross-check");
+    p.stats()
+}
+
+/// The counters a dedup claim is stated in.
+#[derive(Debug, PartialEq, Eq)]
+struct Stored {
+    physical_written: u64,
+    programs: u64,
+    journal_records: u64,
+    journal_bytes: u64,
+    dedup_hits: u64,
+}
+
+impl From<PipelineStats> for Stored {
+    fn from(s: PipelineStats) -> Self {
+        Stored {
+            physical_written: s.physical_written,
+            programs: s.programs,
+            journal_records: s.journal_records,
+            journal_bytes: s.journal_bytes,
+            dedup_hits: s.dedup_hits,
+        }
+    }
+}
+
+/// Both streams of `blocks` blocks through both arms: `[dup-40 %, dup-free]`,
+/// each `(dedup on, dedup off)`.
+fn dedup_vs_control(blocks: usize) -> [(Stored, Stored); 2] {
+    [0.40, 0.0].map(|frac| {
+        let stream = dup_stream(blocks, frac);
+        (write_stream(&stream, true).into(), write_stream(&stream, false).into())
+    })
+}
+
+/// The flash-bytes claim on the duplicate mix: dedup hits, and programs
+/// strictly fewer flash bytes than dedup off.
+fn assert_fewer_bytes(on40: &Stored, off40: &Stored) {
+    assert!(on40.dedup_hits > 0, "no dedup hit on a 40 %-duplicate stream: {on40:?}");
+    assert!(on40.physical_written < off40.physical_written, "dedup saved no flash bytes");
+    assert_eq!(off40.dedup_hits, 0, "dedup off hit");
+}
+
+/// The write-work claim on the duplicate mix: each hit avoids exactly
+/// one page program.
+fn assert_one_program_per_hit(on40: &Stored, off40: &Stored) {
+    assert_eq!(on40.programs + on40.dedup_hits, off40.programs, "a hit is not one program saved");
+}
+
 mod tests {
+    use super::*;
     use crate::content::acgt_run;
     use crate::heat::heat_pipeline_config;
     use crate::sweep::{cut_sweep, CutScenario};
     use edc_compress::CodecId;
-    use edc_core::pipeline::EdcPipeline;
+    use std::sync::OnceLock;
+
+    /// `Stored` for pinned figures, fields in declaration order.
+    fn stored(physical_written: u64, programs: u64, journal: (u64, u64), hits: u64) -> Stored {
+        let (journal_records, journal_bytes) = journal;
+        Stored { physical_written, programs, journal_records, journal_bytes, dedup_hits: hits }
+    }
+
+    /// Journal records and bytes of the smoke-size streams, equal in
+    /// every arm: a hit journals a reference record the size of a run
+    /// record.
+    const J: (u64, u64) = (1_200, 78_000);
+
+    /// The smoke-size streams (1 200 blocks each), driven once and shared
+    /// by the three claims.
+    fn smoke() -> &'static [(Stored, Stored); 2] {
+        static ARMS: OnceLock<[(Stored, Stored); 2]> = OnceLock::new();
+        ARMS.get_or_init(|| dedup_vs_control(1_200))
+    }
+
+    #[test]
+    fn duplicates_cut_the_flash_bytes_written() {
+        let (on40, off40) = &smoke()[0];
+        assert_fewer_bytes(on40, off40);
+        assert_eq!(
+            (on40.physical_written, on40.dedup_hits, off40.physical_written),
+            (1_515_520, 460, 2_457_600)
+        );
+    }
+
+    #[test]
+    fn each_dedup_hit_saves_exactly_one_page_program() {
+        let (on40, off40) = &smoke()[0];
+        assert_one_program_per_hit(on40, off40);
+        assert_eq!(
+            (on40, off40),
+            (&stored(1_515_520, 1_940, J, 460), &stored(2_457_600, 2_400, J, 0))
+        );
+    }
+
+    #[test]
+    fn dedup_changes_nothing_a_duplicate_free_stream_stores() {
+        let (on0, off0) = &smoke()[1];
+        assert_eq!(on0, off0, "dedup changed what a duplicate-free stream stores");
+        assert_eq!(on0, &stored(2_457_600, 2_400, J, 0));
+    }
+
+    #[test]
+    #[ignore = "full size: ~1 s in release, too slow for a debug build"]
+    fn dedup_claims_hold_at_full_size() {
+        const J: (u64, u64) = (10_000, 650_000);
+        let [(on40, off40), (on0, off0)] = dedup_vs_control(10_000);
+        assert_fewer_bytes(&on40, &off40);
+        assert_one_program_per_hit(&on40, &off40);
+        assert_eq!(
+            (on40, off40),
+            (stored(12_383_232, 16_047, J, 3_953), stored(20_477_952, 20_000, J, 0))
+        );
+        assert_eq!(on0, off0, "dedup changed what a duplicate-free stream stores");
+        assert_eq!(on0, stored(20_478_976, 20_000, J, 0));
+    }
 
     /// Power-cut sweep across the dedup write path and a shared-run
     /// relocation: unique writes, then dedup-hit writes sharing the first
@@ -264,8 +183,13 @@ mod tests {
             let src = if s < uniques { s } else { 0 };
             acgt_run(src.wrapping_mul(0x9E37_79B9).wrapping_add(7), (run_blocks * 4096) as usize)
         };
-        let offset =
-            |s: u64| if s < uniques { s * 8 * 4096 } else { (64 + (s - uniques) * 8) * 4096 };
+        let offset = |s: u64| {
+            if s < uniques {
+                s * 8 * 4096
+            } else {
+                (64 + (s - uniques) * 8) * 4096
+            }
+        };
         // Everything cools far past the threshold before the pass runs.
         let cold_at = slots * step + 400 * 1_000_000_000;
         let scenario = CutScenario {

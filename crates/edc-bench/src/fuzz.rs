@@ -19,9 +19,10 @@
 //!   (with the panic hook silenced on the fuzzing thread): a panic, an
 //!   `Ok` of the wrong size, or an output buffer past `expected_len` is a
 //!   crash.
-//! * **Minimizer** — greedy chunk-then-byte removal shrinks any codec
-//!   crasher before it is reported, so the reproducer that lands in a
-//!   regression fixture is as small as the failure allows.
+//! * **Minimizer** — chunked delta debugging (remove whole windows,
+//!   halving the window down to single bytes) shrinks every crasher
+//!   before it is reported, so the reproducer that lands in a regression
+//!   fixture is as small as the failure allows.
 //!
 //! A failing campaign panics with each crasher as a Rust array literal
 //! ready to check in under
@@ -60,7 +61,7 @@ pub enum Decoder {
     Edcrr,
 }
 
-/// A crashing input, minimized when a codec decoder crashed.
+/// A crashing input, minimized.
 #[derive(Debug, Clone)]
 pub struct Crash {
     /// The decoder that misbehaved.
@@ -93,12 +94,17 @@ impl FuzzReport {
         self.crashes.is_empty()
     }
 
-    /// Count one self-delimiting decode (`expected_len` does not apply).
-    fn tally(&mut self, decoder: Decoder, verdict: Verdict, input: Vec<u8>) {
-        match verdict {
+    /// Count one self-delimiting decode (`expected_len` does not apply),
+    /// `verdict` giving the decoder's verdict on any input; a crasher is
+    /// minimized first.
+    fn tally(&mut self, decoder: Decoder, input: Vec<u8>, verdict: impl Fn(&[u8]) -> Verdict) {
+        match verdict(&input) {
             Verdict::Rejected => self.rejected += 1,
             Verdict::Accepted => self.accepted += 1,
-            verdict => self.crashes.push(Crash { decoder, expected_len: 0, input, verdict }),
+            want => {
+                let input = minimize(input, |b| verdict(b) == want);
+                self.crashes.push(Crash { decoder, expected_len: 0, input, verdict: want });
+            }
         }
     }
 
@@ -275,29 +281,37 @@ fn expected_lens(rng: &mut Rng64, original_len: usize) -> [usize; 4] {
     [original_len, 0, rng.below_usize(64), rng.below_usize(1 << 16)]
 }
 
-/// Greedy minimizer: repeatedly remove chunks (halving window sizes down
-/// to single bytes) while the crash still reproduces.
-fn minimize(codec: &dyn Codec, mut input: Vec<u8>, expected_len: usize, want: Verdict) -> Vec<u8> {
-    let reproduces = |bytes: &[u8]| oracle(codec, bytes, expected_len) == want;
+/// Oracle calls one crasher's minimization may spend. Chunked removal
+/// needs about two calls per window size on an input that shrinks to a
+/// few bytes, and one per window position on one that does not; the cap
+/// only bites on a large input that barely shrinks (a mutated `.edcrr`
+/// log), which is then saved as far as it got.
+const MINIMIZE_CALLS: usize = 20_000;
+
+/// Chunked delta debugging: remove windows of `input` while
+/// `reproduces` still holds, stepping a whole window past each removal
+/// that loses the failure, halving the window down to single bytes.
+fn minimize(mut input: Vec<u8>, mut reproduces: impl FnMut(&[u8]) -> bool) -> Vec<u8> {
+    let mut calls = 0;
     let mut window = (input.len() / 2).max(1);
-    while window >= 1 {
+    loop {
         let mut i = 0;
-        while i + window <= input.len() {
+        while i + window <= input.len() && calls < MINIMIZE_CALLS {
             let mut candidate = input.clone();
             candidate.drain(i..i + window);
+            calls += 1;
             if reproduces(&candidate) {
                 input = candidate;
                 // Do not advance: the next window now sits at `i`.
             } else {
-                i += 1;
+                i += window;
             }
         }
         if window == 1 {
-            break;
+            return input;
         }
         window /= 2;
     }
-    input
 }
 
 /// A campaign stops at this many crashers. A broken decoder crashes on a
@@ -360,7 +374,7 @@ fn run_campaign_inner(total_inputs: u64, seed: u64) -> FuzzReport {
             };
             let donor = frame_corpus[rng.below_usize(frame_corpus.len())].clone();
             mutate(&mut rng, &mut stream, &donor);
-            report.tally(Decoder::Frame, parse_oracle(frame::decompress, &stream), stream);
+            report.tally(Decoder::Frame, stream, |b| parse_oracle(frame::decompress, b));
             continue;
         }
 
@@ -396,7 +410,7 @@ fn run_campaign_inner(total_inputs: u64, seed: u64) -> FuzzReport {
             }
         }
         if let Some((verdict, expected_len)) = worst {
-            let input = minimize(codec, stream, expected_len, verdict);
+            let input = minimize(stream, |b| oracle(codec, b, expected_len) == verdict);
             report.crashes.push(Crash {
                 decoder: Decoder::Codec(codec.id()),
                 expected_len,
@@ -424,13 +438,13 @@ fn run_campaign_inner(total_inputs: u64, seed: u64) -> FuzzReport {
         for _ in 0..rng.range_usize(1, 4) {
             mutate(&mut rng, &mut log, donor);
         }
-        report.tally(Decoder::Edcrr, parse_oracle(edc_core::parse_edcrr, &log), log);
+        report.tally(Decoder::Edcrr, log, |b| parse_oracle(edc_core::parse_edcrr, b));
     }
     report
 }
 
-/// Save a crashing `.edcrr` mutant — a whole log, too large to print —
-/// under the crash directory, and say where it went.
+/// Save a minimized crashing `.edcrr` mutant — a log, too large to print
+/// — under the crash directory, and say where it went.
 fn save_log_crasher(i: usize, c: &Crash) -> String {
     let dir = crate::faults::crash_dir();
     let path = dir.join(format!("fuzz_edcrr_{i}.edcrr"));
@@ -510,9 +524,26 @@ mod tests {
         stream.truncate(stream.len() / 2);
         let v = oracle(codec, &stream, data.len());
         assert_eq!(v, Verdict::Rejected);
-        let min = minimize(codec, stream.clone(), data.len(), v);
+        let min = minimize(stream.clone(), |b| oracle(codec, b, data.len()) == v);
         assert!(min.len() <= stream.len());
         assert_eq!(oracle(codec, &min, data.len()), v);
+    }
+
+    /// A failure that needs one byte of a 4 KiB input shrinks to that
+    /// byte in 24 oracle calls, wherever the byte sits: two per window
+    /// size, 2 048 down to 1. Stepping one byte past each failed removal,
+    /// as the minimizer once did, took 2 071 calls with the byte at 2 047.
+    #[test]
+    fn minimizer_finds_one_marker_byte_in_few_calls() {
+        let mut input = vec![0u8; 4096];
+        input[2_047] = 0xAB;
+        let mut calls = 0;
+        let min = minimize(input, |b| {
+            calls += 1;
+            b.contains(&0xAB)
+        });
+        assert_eq!(min, [0xAB]);
+        assert_eq!(calls, 24);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! `record-golden`: regenerate the committed golden `.edcrr` fixtures.
 
-use crate::content::{noise_block, text_block};
-use crate::heat::heat_block;
+use crate::content::{heat_block, noise_block, text_block};
 use crate::{CmdError, CmdResult};
 use edc_compress::CodecId;
 use edc_core::{FileTypeHint, ManualClock, Op, OpOutput, Recorder, StoreSpec};

@@ -1,12 +1,11 @@
 //! Dependency-free micro-benchmark harness.
 //!
 //! The workspace builds offline, so instead of `criterion` the in-tree
-//! benches use this: median-of-N wall-clock timing over
-//! [`std::time::Instant`], an optional per-iteration setup closure that
-//! stays outside the timed region, throughput derivation from a bytes
-//! count, and hand-rolled JSON output (no serde) for machine consumption
-//! under `results/` — read back by [`parse_report`], the one parser of
-//! that format.
+//! bench uses this: median-of-N wall-clock timing over
+//! [`std::time::Instant`] after one untimed warm-up, throughput
+//! derivation from a bytes count, and hand-rolled JSON output (no serde)
+//! for machine consumption under `results/` — read back by
+//! [`parse_report`], the one parser of that format.
 //!
 //! ```
 //! use edc_bench::harness::Harness;
@@ -16,7 +15,7 @@
 //! println!("{}", h.render());
 //! ```
 
-use crate::{verdict, CmdError, CmdResult};
+use crate::{CmdError, CmdResult};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -59,7 +58,6 @@ pub struct Harness {
     results: Vec<CaseResult>,
     metrics: Vec<(String, f64)>,
     notes: Vec<String>,
-    series: Vec<(String, Vec<(u64, f64)>)>,
 }
 
 impl Harness {
@@ -73,7 +71,6 @@ impl Harness {
             results: Vec::new(),
             metrics: Vec::new(),
             notes: Vec::new(),
-            series: Vec::new(),
         }
     }
 
@@ -97,7 +94,7 @@ impl Harness {
     /// sample, *outside* the timed region — the equivalent of criterion's
     /// `iter_batched`. Use it when the routine consumes or mutates state
     /// (e.g. a pipeline that must be rebuilt per sample).
-    pub fn run_prepared<S, T>(
+    fn run_prepared<S, T>(
         &mut self,
         name: &str,
         bytes_per_iter: Option<u64>,
@@ -116,10 +113,8 @@ impl Harness {
         self.record_case(name, samples_ns, bytes_per_iter)
     }
 
-    /// Record a case from externally collected wall-clock samples — for
-    /// protocols the closure-driven runners can't express, such as
-    /// interleaving two arms' samples to cancel machine drift.
-    pub fn record_case(
+    /// Record a case from its wall-clock samples.
+    fn record_case(
         &mut self,
         name: &str,
         samples_ns: Vec<u64>,
@@ -153,15 +148,6 @@ impl Harness {
         self.notes.push(text.to_string());
     }
 
-    /// Attach a named trajectory series — `(t_ns, value)` points in
-    /// chronological order, e.g. the samples drained from an
-    /// `edc_core::TieredSeries` at the end of a soak run. Series land in
-    /// the JSON report under a dedicated `series` section so dashboards
-    /// can plot how a metric moved over the run, not just where it ended.
-    pub fn series(&mut self, name: &str, points: impl IntoIterator<Item = (u64, f64)>) {
-        self.series.push((name.to_string(), points.into_iter().collect()));
-    }
-
     /// All recorded cases, in run order.
     pub fn results(&self) -> &[CaseResult] {
         &self.results
@@ -185,13 +171,6 @@ impl Harness {
         }
         for (k, v) in &self.metrics {
             out.push_str(&format!("  {k:<40} {v:.4}\n"));
-        }
-        for (name, points) in &self.series {
-            out.push_str(&format!("  series {name:<33} {} points", points.len()));
-            if let (Some(first), Some(last)) = (points.first(), points.last()) {
-                out.push_str(&format!("  ({:.4} -> {:.4})", first.1, last.1));
-            }
-            out.push('\n');
         }
         for n in &self.notes {
             out.push_str(&format!("  note: {n}\n"));
@@ -233,26 +212,6 @@ impl Harness {
             s.push_str(&format!("{}: {}", json_str(k), json_num(*v)));
         }
         s.push_str("},\n");
-        // Trajectory series carry no `"name": ` key, so the line-based
-        // [`parse_report`] never mistakes a series for a timed case.
-        s.push_str("  \"series\": {");
-        for (i, (name, points)) in self.series.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {}: [", json_str(name)));
-            for (j, (t_ns, value)) in points.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("{{\"t_ns\": {t_ns}, \"value\": {}}}", json_num(*value)));
-            }
-            s.push(']');
-        }
-        if !self.series.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("},\n");
         s.push_str("  \"notes\": [");
         for (i, n) in self.notes.iter().enumerate() {
             if i > 0 {
@@ -273,10 +232,9 @@ impl Harness {
         Ok(path)
     }
 
-    /// How every bench and campaign ends: print the report, write
-    /// `BENCH_<name>.json` into `out_dir`, and turn the `violations` the
-    /// run counted into its verdict.
-    pub fn finish(&self, out_dir: &Path, violations: u64) -> CmdResult {
+    /// How a bench ends: print the report and write `BENCH_<name>.json`
+    /// into `out_dir`.
+    pub fn finish(&self, out_dir: &Path) -> CmdResult {
         print!("{}", self.render());
         let path = self.write_json(out_dir).map_err(|e| {
             CmdError::Usage(format!(
@@ -286,14 +244,14 @@ impl Harness {
             ))
         })?;
         eprintln!("# wrote {}", path.display());
-        verdict(&self.name, violations)
+        Ok(())
     }
 }
 
 /// The `pct`-th percentile of `samples` by nearest rank (the element at
-/// `len * pct / 100` once sorted; sorts in place). The one percentile
-/// rule of every latency figure the harness reports.
-pub fn percentile(samples: &mut [u64], pct: usize) -> u64 {
+/// `len * pct / 100` once sorted; sorts in place): the rule of every
+/// case's median.
+fn percentile(samples: &mut [u64], pct: usize) -> u64 {
     assert!(!samples.is_empty(), "at least one sample");
     samples.sort_unstable();
     samples[(samples.len() * pct / 100).min(samples.len() - 1)]
@@ -433,24 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn series_lands_in_json_and_render() {
-        let mut h = Harness::new("t", 2);
-        h.run("a", || ());
-        h.series("live_bytes", vec![(0, 1.0), (1_000, 2.5), (2_000, f64::NAN)]);
-        let j = h.to_json();
-        assert!(j.contains("\"series\": {"));
-        assert!(j.contains("\"live_bytes\": [{\"t_ns\": 0, \"value\": 1.000000}"));
-        assert!(j.contains("{\"t_ns\": 2000, \"value\": null}"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        // The line-based parser must not mistake a series for a case.
-        assert_eq!(parse_report(&j).cases, vec![("a".to_string(), None)]);
-        let text = h.render();
-        assert!(text.contains("series live_bytes"));
-        assert!(text.contains("3 points"));
-    }
-
-    #[test]
     fn parse_round_trips_case_names_and_gates() {
         let mut h = Harness::new("t", 2);
         h.run("plain", || ());
@@ -460,7 +400,6 @@ mod tests {
         h.metric("speedup", 2.5);
         h.metric("nan", f64::NAN);
         h.metric("trend_violation", 1.0);
-        h.series("live_bytes", vec![(0, 1.0), (1_000, 2.5)]);
         h.note("a \"note\": 1, with, commas");
         let parsed = parse_report(&h.to_json());
         let names: Vec<&str> = parsed.cases.iter().map(|(n, _)| n.as_str()).collect();

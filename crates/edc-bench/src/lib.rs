@@ -8,20 +8,20 @@
 //! * [`figures`] — `fig1` … `fig12`, `table1`, `table2`, the DESIGN.md
 //!   ablations, the future-work group and `all`, over one
 //!   [`ExperimentEnv`];
-//! * [`concurrency`], [`codecs`], [`heat`], [`dedup`] — the `bench-*`
-//!   subcommands: every timing gate compares two arms measured in the
-//!   same process;
+//! * [`codecs`] — `bench-codecs`, the per-codec throughput and ratio
+//!   rows;
 //! * [`replay`], [`golden`] — `.edcrr` replay and fixture recording.
 //!
 //! Shared pieces: the timing [`Harness`] and its report parser, and the
 //! seeded block [`content`].
 //!
-//! The zero-loss campaigns are seeded tests of this crate, compiled only
-//! under `cargo test`: the power-cut sweep driver (`sweep`), the fault,
-//! scrub and RAIS campaigns (`faults`, `scrub`, `rais`), the decoder and
-//! `.edcrr` fuzzer (`fuzz`), and the power-cut sweeps across the heat and
-//! dedup benches' scenarios (in those modules' tests). Their full sizes
-//! that are too slow for a debug build are `#[ignore]`d and run with
+//! The zero-loss campaigns and the space claims are seeded tests of this
+//! crate, compiled only under `cargo test`: the power-cut sweep driver
+//! (`sweep`), the fault, scrub and RAIS campaigns (`faults`, `scrub`,
+//! `rais`), the decoder and `.edcrr` fuzzer (`fuzz`), and heat-aware
+//! recompression and dedup against their control arms, with a power-cut
+//! sweep each (`heat`, `dedup`). Their full sizes that are too slow for
+//! a debug build are `#[ignore]`d and run with
 //! `cargo test --release -- --ignored`.
 //!
 //! A wall-clock number measured here is never compared with one
@@ -35,15 +35,12 @@
 #![warn(missing_docs)]
 
 pub mod codecs;
-pub mod concurrency;
 pub mod content;
-pub mod dedup;
 pub mod env;
 pub mod experiments;
 pub mod figures;
 pub mod golden;
 pub mod harness;
-pub mod heat;
 pub mod output;
 pub mod replay;
 
@@ -54,11 +51,12 @@ pub use output::Table;
 /// Why a subcommand did not pass; the binary maps it to its exit status.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CmdError {
-    /// `violations` gates of `what` failed (exit status 1).
+    /// `violations` checks of `what` failed (exit status 1): today only
+    /// a replay that diverged.
     Failed {
-        /// The campaign or bench that failed.
+        /// The run that failed.
         what: String,
-        /// How many gate violations it counted.
+        /// How many failures it counted.
         violations: u64,
     },
     /// The invocation or its input files cannot be used (exit status 2).
@@ -99,9 +97,13 @@ pub fn verdict(what: &str, violations: u64) -> CmdResult {
 }
 
 #[cfg(test)]
+mod dedup;
+#[cfg(test)]
 mod faults;
 #[cfg(test)]
 mod fuzz;
+#[cfg(test)]
+mod heat;
 #[cfg(test)]
 mod rais;
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! `edc-bench` — regenerate the EDC paper's tables and figures, and run
-//! the store's benches.
+//! the codec bench.
 //!
 //! ```text
 //! cargo run -p edc-bench --release -- all
@@ -8,29 +8,31 @@
 //! ```
 //!
 //! Subcommands: `fig1 fig2 fig3 table1 table2 fig8 fig9 fig10 fig11 fig12
-//! ablations future-work timeline mixed calibrate bench-concurrency
-//! bench-codecs bench-heat bench-dedup replay record-golden all` (the
-//! default). This file is argument parsing plus the dispatch table; each
-//! subcommand lives in the `edc_bench` library module the table names.
+//! ablations future-work timeline mixed calibrate bench-codecs replay
+//! record-golden all` (the default). This file is argument parsing plus
+//! the dispatch table; each subcommand lives in the `edc_bench` library
+//! module the table names.
 //!
 //! Flags, each taken only by the subcommands that read it (any other
 //! flag exits 2): `--quick` shrinks trace durations for the figures and
-//! acts as `--smoke` for the `bench-*` subcommands, where `--smoke`
-//! shrinks the workloads; `--out DIR` sets the output directory (default
-//! `results/`) of the figures and benches; `bench-codecs --prior FILE`
+//! acts as `--smoke` for `bench-codecs`, where `--smoke` shrinks the
+//! sweep; `--out DIR` sets the output directory (default `results/`) of
+//! the figures and the bench; `bench-codecs --prior FILE`
 //! records the decode rows of an earlier `BENCH_codecs.json` (same host,
 //! the commit compared against) beside the fresh ones as
 //! `prior_decompress_*` / `speedup_decompress_*` metrics. `replay
 //! <log.edcrr>...` re-executes recorded op logs and fails on any
 //! divergence; `record-golden <path>` regenerates the committed golden
-//! fixtures. An unknown subcommand or flag exits 2; a failed gate
+//! fixtures; no other subcommand takes an operand. An unknown
+//! subcommand or flag, or a stray operand, exits 2; a failed replay
 //! exits 1.
 //!
 //! The zero-loss campaigns (power cuts, faults, scrub, RAIS, fuzzing)
-//! are seeded tests of the `edc_bench` library, not subcommands.
+//! and the heat and dedup space claims are seeded tests of the
+//! `edc_bench` library, not subcommands.
 
 use edc_bench::figures::{self, Figures};
-use edc_bench::{codecs, concurrency, dedup, golden, heat, replay, CmdResult};
+use edc_bench::{codecs, golden, replay, CmdResult};
 use std::path::PathBuf;
 
 /// The parsed command line.
@@ -58,6 +60,8 @@ struct Command {
     names: &'static [&'static str],
     /// The flags the row reads; any other flag is refused.
     flags: &'static [&'static str],
+    /// Whether the row reads operands; if not, one is refused.
+    operands: bool,
     run: Run,
 }
 
@@ -71,19 +75,18 @@ enum Run {
 
 /// What a figure group reads.
 const FIGURE_FLAGS: &[&str] = &["--quick", "--out"];
-/// What a `bench-*` subcommand reads (`--quick` implies `--smoke`).
-const BENCH_FLAGS: &[&str] = &["--quick", "--smoke", "--out"];
 
 const fn fig(names: &'static [&'static str], group: fn(&Figures)) -> Command {
-    Command { names, flags: FIGURE_FLAGS, run: Run::Figures(group) }
+    Command { names, flags: FIGURE_FLAGS, operands: false, run: Run::Figures(group) }
 }
 
 const fn cmd(
     names: &'static [&'static str],
     flags: &'static [&'static str],
+    operands: bool,
     run: fn(&Args) -> CmdResult,
 ) -> Command {
-    Command { names, flags, run: Run::Cmd(run) }
+    Command { names, flags, operands, run: Run::Cmd(run) }
 }
 
 const COMMANDS: &[Command] = &[
@@ -102,14 +105,11 @@ const COMMANDS: &[Command] = &[
     fig(&["timeline"], Figures::timeline),
     fig(&["mixed"], Figures::mixed),
     fig(&["calibrate"], Figures::calibrate),
-    cmd(&["bench-concurrency"], BENCH_FLAGS, |a| concurrency::run(a.smoke, &a.out_dir)),
-    cmd(&["bench-codecs"], &["--quick", "--smoke", "--out", "--prior"], |a| {
+    cmd(&["bench-codecs"], &["--quick", "--smoke", "--out", "--prior"], false, |a| {
         codecs::run(a.smoke, &a.out_dir, a.prior.as_deref())
     }),
-    cmd(&["bench-heat"], BENCH_FLAGS, |a| heat::run(a.smoke, &a.out_dir)),
-    cmd(&["bench-dedup"], BENCH_FLAGS, |a| dedup::run(a.smoke, &a.out_dir)),
-    cmd(&["replay"], &[], |a| replay::run(&a.operands)),
-    cmd(&["record-golden"], &[], |a| golden::run(a.operands.first().map(PathBuf::as_path))),
+    cmd(&["replay"], &[], true, |a| replay::run(&a.operands)),
+    cmd(&["record-golden"], &[], true, |a| golden::run(a.operands.first().map(PathBuf::as_path))),
     fig(&["all"], Figures::all),
 ];
 
@@ -162,14 +162,20 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// The row `args` names, once it is known to read every flag given.
+/// The row `args` names, once it is known to read every flag and
+/// operand given.
 fn command(args: &Args) -> Result<&'static Command, String> {
     let Some(command) = COMMANDS.iter().find(|c| c.names.contains(&args.cmd.as_str())) else {
         return Err(format!("unknown command {:?}", args.cmd));
     };
-    match args.flags.iter().find(|f| !command.flags.contains(&f.as_str())) {
-        Some(flag) => Err(format!("{} does not take {flag}", args.cmd)),
-        None => Ok(command),
+    if let Some(flag) = args.flags.iter().find(|f| !command.flags.contains(&f.as_str())) {
+        return Err(format!("{} does not take {flag}", args.cmd));
+    }
+    match args.operands.first() {
+        Some(operand) if !command.operands => {
+            Err(format!("{} takes no operand, got {}", args.cmd, operand.display()))
+        }
+        _ => Ok(command),
     }
 }
 
@@ -218,15 +224,33 @@ mod tests {
         assert_eq!(resolve("fig1 --prior x").unwrap_err(), "fig1 does not take --prior");
         assert_eq!(resolve("replay --smoke a.edcrr").unwrap_err(), "replay does not take --smoke");
         assert_eq!(resolve("--smoke").unwrap_err(), "all does not take --smoke");
-        assert_eq!(
-            resolve("bench-heat --prior x").unwrap_err(),
-            "bench-heat does not take --prior"
-        );
         assert_eq!(resolve("fig1 --quick --out o"), Ok("fig1"));
         assert_eq!(resolve("bench-codecs --quick --prior old.json"), Ok("bench-codecs"));
         assert_eq!(resolve("replay a.edcrr"), Ok("replay"));
-        // The deleted campaign subcommands are unknown commands.
-        for gone in ["fault-campaign", "scrub-campaign", "rais-campaign", "fuzz", "check-bench"] {
+        assert_eq!(resolve("record-golden g.edcrr"), Ok("record-golden"));
+        // Only `replay` and `record-golden` read operands.
+        assert_eq!(
+            resolve("table1 bogus-operand --out o").unwrap_err(),
+            "table1 takes no operand, got bogus-operand"
+        );
+        assert_eq!(
+            resolve("bench-codecs stray --smoke").unwrap_err(),
+            "bench-codecs takes no operand, got stray"
+        );
+        let readers: Vec<&str> =
+            COMMANDS.iter().filter(|c| c.operands).map(|c| c.names[0]).collect();
+        assert_eq!(readers, ["replay", "record-golden"]);
+        // The deleted subcommands are unknown commands.
+        for gone in [
+            "fault-campaign",
+            "scrub-campaign",
+            "rais-campaign",
+            "fuzz",
+            "check-bench",
+            "bench-concurrency",
+            "bench-heat",
+            "bench-dedup",
+        ] {
             assert_eq!(resolve(gone).unwrap_err(), format!("unknown command {gone:?}"));
         }
     }
@@ -234,11 +258,11 @@ mod tests {
     #[test]
     fn usage_and_module_doc_list_exactly_the_dispatched_subcommands() {
         let listed: Vec<&str> = COMMANDS.iter().map(|c| c.names[0]).collect();
-        assert_eq!(listed.len(), 22);
+        assert_eq!(listed.len(), 19);
         let mut unique: Vec<&str> = COMMANDS.iter().flat_map(|c| c.names).copied().collect();
         unique.sort_unstable();
         unique.dedup();
-        assert_eq!(unique.len(), 25, "a name dispatches to one row only");
+        assert_eq!(unique.len(), 22, "a name dispatches to one row only");
         assert!(usage().ends_with(&listed.join(" ")));
         // The module doc's "Subcommands:" sentence is the same list.
         let doc: String = include_str!("main.rs")

@@ -77,7 +77,6 @@ pub mod selector;
 pub mod shard;
 pub mod slots;
 pub mod store;
-pub mod telemetry;
 
 pub use allocator::{AllocPolicy, AllocStats, QuantizedAllocator};
 pub use cache::{CacheStats, RunCache};
@@ -106,4 +105,3 @@ pub use selector::{codec_strength, AlgorithmSelector, LadderRung, SelectorConfig
 pub use shard::{ShardConfig, ShardedPipeline};
 pub use slots::SlotStore;
 pub use store::{Op, OpOutput};
-pub use telemetry::{Sample, TieredSeries};

@@ -115,14 +115,6 @@ pub struct PipelineConfig {
     /// to the legacy format. Set by [`crate::shard::ShardedPipeline`] when
     /// it builds its per-shard pipelines; must be < 16.
     pub journal_shard: u8,
-    /// Modelled per-device-access service time, ns (0 — the default —
-    /// disables the model entirely). A real flash fetch or program costs
-    /// tens of microseconds during which the host CPU is idle; sleeping
-    /// for this long on every media touch lets accesses to *different*
-    /// shards of a [`crate::shard::ShardedPipeline`] overlap in time while
-    /// a single pipeline behind one lock cannot. Used by the concurrency
-    /// benchmark; cache hits never pay it.
-    pub device_dwell_ns: u64,
     /// Per-extent heat tracking and the background recompression policy
     /// ([`EdcPipeline::recompress_pass`], DESIGN.md §12).
     pub heat: HeatConfig,
@@ -144,7 +136,6 @@ impl Default for PipelineConfig {
             fault: FaultPlan::none(),
             parity: false,
             journal_shard: 0,
-            device_dwell_ns: 0,
             heat: HeatConfig::default(),
             dedup: DedupConfig::default(),
         }
@@ -553,15 +544,6 @@ impl EdcPipeline {
         }
     }
 
-    /// Sleep for the configured per-device-access service time (see
-    /// [`PipelineConfig::device_dwell_ns`]). A no-op at the default 0.
-    fn device_dwell(&self) {
-        let ns = self.config.device_dwell_ns;
-        if ns > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(ns));
-        }
-    }
-
     /// Read `len` bytes at `offset` (both 4 KiB-aligned). Unwritten blocks
     /// read as zeroes, as on a real device. One read may ask for at most
     /// the device's capacity.
@@ -664,7 +646,6 @@ impl EdcPipeline {
     /// the checksum audit downstream catches it. Cache hits never get
     /// here — decompressed runs live in DRAM.
     fn fault_device_access(&mut self, entry: &MappingEntry) -> Result<(), ReadError> {
-        self.device_dwell();
         if !self.faults.plan().is_active() {
             return Ok(());
         }
@@ -965,10 +946,6 @@ impl EdcPipeline {
             let at = off + stored_bytes as usize - bb;
             self.device[at..at + bb].copy_from_slice(&page);
         }
-        // One dwell per stored run: the media is busy programming the
-        // run's pages while this shard's lock is held, and sleeps on
-        // different shards overlap.
-        self.device_dwell();
         self.physical_written += stored_bytes;
         let entry = MappingEntry {
             tag,

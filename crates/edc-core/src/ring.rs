@@ -17,7 +17,7 @@
 //! wakeup, not compression. Callers harvest completions with
 //! [`Ring::wait`] / [`Ring::try_reap`] / [`Ring::drain`]. Queue depth,
 //! not thread count, now drives device saturation: a handful of
-//! submitter threads keep every shard and its dwell-modelled media busy.
+//! submitter threads keep every shard busy.
 //!
 //! ## Backpressure
 //!
@@ -56,23 +56,20 @@
 //! [`Ring::wait`] does not just park: if the awaited op is the *only* op
 //! in its shard's submission queue and no drainer is active on that
 //! shard, the waiter dispatches it on its own thread. At queue depth 1
-//! this collapses the ring to the blocking path's latency (no handoff,
-//! no wakeup) — the QD=1 sweep point stays within 10% of the blocking
-//! single-thread throughput. The help is deliberately that narrow: at
-//! depth, draining a whole dwell-laden batch on the waiter's thread
-//! would starve its other in-flight ops, so deep waiters park and the
-//! drainers do all the work.
+//! this collapses the ring to the blocking path's latency: no handoff
+//! to the drainer and no wake-up back. No gate measures that any more.
+//! The help is deliberately that narrow: at depth, draining a whole
+//! batch on the waiter's thread would starve its other in-flight ops, so
+//! deep waiters park and the drainers do all the work.
 
 use crate::record::Recorder;
 use crate::scheme::BLOCK_BYTES;
 use crate::shard::ShardedPipeline;
 use crate::store::{Op, OpOutput};
-use crate::telemetry::{Sample, TieredSeries};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Configuration of a [`Ring`].
 #[derive(Debug, Clone, Copy)]
@@ -183,7 +180,6 @@ struct Pending {
     seq: u64,
     now_ns: u64,
     op: Op,
-    submitted_at: Instant,
 }
 
 /// Mutable half of one shard's ring.
@@ -215,10 +211,6 @@ struct ShardQueue {
     doorbell: Condvar,
     /// Waiters park here; rung when a batch's completions post.
     completed: Condvar,
-    /// Per-shard occupancy sampled at every batch take.
-    occupancy: Mutex<TieredSeries>,
-    /// Mean submit→completion latency (µs) per posted group.
-    latency: Mutex<TieredSeries>,
 }
 
 #[derive(Default)]
@@ -258,7 +250,6 @@ pub struct Ring<'a> {
     recorder: Option<&'a Mutex<Recorder>>,
     counters: Counters,
     reap_cursor: AtomicU64,
-    started: Instant,
 }
 
 impl<'a> Ring<'a> {
@@ -321,15 +312,12 @@ impl<'a> Ring<'a> {
                     }),
                     doorbell: Condvar::new(),
                     completed: Condvar::new(),
-                    occupancy: Mutex::new(TieredSeries::new(32, 4)),
-                    latency: Mutex::new(TieredSeries::new(32, 4)),
                 })
                 .collect(),
             depth: config.depth,
             recorder,
             counters: Counters::default(),
             reap_cursor: AtomicU64::new(0),
-            started: Instant::now(),
         };
         let out = std::thread::scope(|sc| {
             for s in 0..ring.queues.len() {
@@ -376,7 +364,7 @@ impl<'a> Ring<'a> {
         let seq = st.next_seq;
         st.next_seq += 1;
         st.occupied += 1;
-        st.sq.push_back(Pending { seq, now_ns, op, submitted_at: Instant::now() });
+        st.sq.push_back(Pending { seq, now_ns, op });
         // A mid-batch drainer re-checks its queue at batch end (under
         // this same lock), so the doorbell only needs ringing when the
         // drainer may actually be parked.
@@ -417,9 +405,9 @@ impl<'a> Ring<'a> {
             // Cooperative draining, narrowly: only when the awaited op is
             // the *sole* queued op and no drainer is active — the QD=1
             // shape, where skipping the drainer hand-off is pure win. At
-            // depth, helping would serialize a whole dwell-laden batch
-            // onto this caller's thread and starve its other in-flight
-            // ops, so deep waiters park instead.
+            // depth, helping would serialize a whole batch onto this
+            // caller's thread and starve its other in-flight ops, so deep
+            // waiters park instead.
             if in_sq && !st.draining && st.sq.len() == 1 {
                 st = self.drain_batch(s, st);
                 continue;
@@ -513,27 +501,6 @@ impl<'a> Ring<'a> {
         }
     }
 
-    /// Shard occupancy (submitted-but-not-reaped ops) sampled at every
-    /// batch take, merged across shards in time order; time axis is
-    /// nanoseconds since the ring started.
-    pub fn occupancy_series(&self) -> Vec<Sample> {
-        Self::merge_series(self.queues.iter().map(|q| &q.occupancy))
-    }
-
-    /// Mean submit→completion latency in microseconds per posted group,
-    /// merged across shards in time order; time axis is nanoseconds
-    /// since the ring started.
-    pub fn latency_series(&self) -> Vec<Sample> {
-        Self::merge_series(self.queues.iter().map(|q| &q.latency))
-    }
-
-    fn merge_series<'s>(parts: impl Iterator<Item = &'s Mutex<TieredSeries>>) -> Vec<Sample> {
-        let mut all: Vec<Sample> =
-            parts.flat_map(|m| m.lock().expect("ring poisoned").samples()).collect();
-        all.sort_by_key(|p| p.t_ns);
-        all
-    }
-
     /// Validate `op` and resolve the single shard that executes it.
     fn route(&self, op: &Op) -> Result<usize, RingError> {
         let (offset, len) = match op {
@@ -590,24 +557,15 @@ impl<'a> Ring<'a> {
         debug_assert!(!batch.is_empty(), "doorbell rung on an empty queue");
         st.draining = true;
         st.executing = batch.iter().map(|p| p.seq).collect();
-        let occupied = st.occupied;
         drop(st);
 
         self.counters.drained_batches.fetch_add(1, Relaxed);
         self.counters.max_batch.fetch_max(batch.len() as u64, Relaxed);
         let q = &self.queues[s];
-        q.occupancy.lock().expect("ring poisoned").push(self.elapsed_ns(), occupied as f64);
 
         let mut idx = 0;
         while idx < batch.len() {
             let (next, outs) = self.dispatch_group(&batch, idx);
-            let done = Instant::now();
-            let mean_us = batch[idx..next]
-                .iter()
-                .map(|p| done.duration_since(p.submitted_at).as_nanos() as f64 / 1_000.0)
-                .sum::<f64>()
-                / (next - idx) as f64;
-            q.latency.lock().expect("ring poisoned").push(self.elapsed_ns(), mean_us);
             self.counters.completed.fetch_add((next - idx) as u64, Relaxed);
             let mut st = q.state.lock().expect("ring poisoned");
             // `executing` was filled in batch order and groups retire
@@ -673,10 +631,6 @@ impl<'a> Ring<'a> {
             q.doorbell.notify_all();
             q.completed.notify_all();
         }
-    }
-
-    fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 

@@ -70,7 +70,7 @@ pub struct ShardConfig {
     /// smaller ones favour spread.
     pub extent_blocks: u64,
     /// Template for every shard's pipeline. `journal_shard` is overwritten
-    /// per shard; everything else (ladder, SD, cache size, dwell, parity,
+    /// per shard; everything else (ladder, SD, cache size, parity,
     /// fault plan) applies to each shard independently.
     pub pipeline: PipelineConfig,
 }

@@ -15,7 +15,8 @@
 //! ([`ShardedPipeline::verify_dedup`]). Cut points flush both arms
 //! first (the deterministic cut pattern shared with `proptest_heat`);
 //! cuts *inside* dedup-hit writes and shared-run relocation are swept
-//! exhaustively by the `bench-dedup` power-cut campaign.
+//! exhaustively by `edc-bench`'s
+//! `dedup::tests::power_cut_anywhere_in_dedup_writes_and_relocation_loses_nothing`.
 
 use edc_compress::CodecId;
 use edc_core::dedup::DedupConfig;

@@ -13,7 +13,8 @@
 //! requirement. Cut points flush both stores first (the deterministic
 //! power-cut pattern shared with `proptest_sharded`); cuts *inside* a
 //! recompression pass are swept exhaustively by the pipeline unit tests
-//! and the `bench-heat` campaign.
+//! and `edc-bench`'s
+//! `heat::tests::power_cut_anywhere_in_a_recompression_pass_loses_nothing`.
 
 use edc_compress::CodecId;
 use edc_core::pipeline::PipelineConfig;

@@ -79,7 +79,7 @@ pub mod prelude {
     pub use edc_core::shard::{ShardConfig, ShardedPipeline};
     pub use edc_core::{
         Clock, ManualClock, Op, OpOutput, Recorder, ReplayRefusal, ReplayReport, Replayer,
-        StoreSpec, TieredSeries, WallClock,
+        StoreSpec, WallClock,
     };
     pub use edc_flash::{FaultPlan, SsdConfig};
 }
